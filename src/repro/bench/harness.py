@@ -97,7 +97,7 @@ class RunTimings(MutableMapping[str, float]):
 
     def __init__(self) -> None:
         # One lock guards both maps; the per-key histograms have their own
-        # finer-grained seqlock discipline for snapshots.
+        # lock around every snapshot.
         self._lock = threading.Lock()
         self._last: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}

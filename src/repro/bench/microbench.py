@@ -28,16 +28,13 @@ layer of :mod:`repro.service`:
   batched wall-clock against the unbatched one-build-per-thread baseline.
 
 The **shards suite** (``BENCH_3``) measures the sharded, versioned table
-backend and the :class:`~repro.core.parallel.ParallelExecutor`:
+backend:
 
-* **sharded domain analysis** -- the chunk-parallel exact matrix build at
-  ``N`` workers against the single-shard seed-reference cell loop (the same
-  baseline convention as BENCH_1's ``domain_analysis.speedup``), with a
-  parity assertion and a per-worker scaling table (``cpu_count`` is recorded:
-  thread scaling is only visible on multi-core hosts -- numpy releases the
-  GIL, but one core is one core);
-* **sharded mask evaluation** -- shard-parallel workload evaluation over a
-  multi-shard table, parity-checked against the reference masks on the
+* **sharded domain analysis** -- the chunked exact matrix build against the
+  single-shard seed-reference cell loop (the same baseline convention as
+  BENCH_1's ``domain_analysis.speedup``), with a parity assertion;
+* **sharded mask evaluation** -- workload evaluation over a multi-shard
+  table, parity-checked against the reference masks on the
   equivalent single-shard table, plus the *incremental append* win: after
   ``append_rows`` only the new shard is evaluated (old shard views keep
   their warm masks), measured against a cold full re-evaluation;
@@ -56,7 +53,7 @@ path, shard compaction and the shared category dictionary:
   (the pre-snapshot engine raised shape-check errors here), that a pinned
   snapshot re-reads bit-for-bit identically after every append, and that
   pinned counts match the row-at-a-time reference semantics;
-* **compaction** -- cold shard-parallel workload evaluation over a
+* **compaction** -- cold workload evaluation over a
   deliberately fragmented layout (auto-compaction off, many tiny appends)
   before and after ``Table.compact()``, with the layout-only contract
   pinned: same version token, bit-identical counts, fewer shards;
@@ -568,73 +565,42 @@ def bench_sharded_domain_analysis(
     workload: Workload,
     schema: Schema,
     *,
-    workers: int = 4,
     repeats: int = 2,
 ) -> dict[str, object]:
-    """Chunk-parallel exact domain analysis vs the single-shard references.
+    """Chunked exact domain analysis vs the single-shard reference cell loop.
 
-    Parity first: the matrix, partition signatures and descriptions produced
-    with the executor must be bit-identical to the seed-reference cell loop.
-    The headline ``speedup`` follows BENCH_1's convention -- the parallel
-    build at ``workers`` workers against the single-shard reference
-    implementation; ``scaling`` additionally reports the vectorized build at
-    1/2/``workers`` workers so thread scaling (or the lack of it on a
-    single-core host -- see ``cpu_count``) is measured rather than assumed.
+    Parity first: the matrix, partition signatures and descriptions must be
+    bit-identical to the seed-reference cell loop.  The headline ``speedup``
+    follows BENCH_1's convention -- the vectorized build against the
+    single-shard reference implementation.
     """
-    import os
-
-    from repro.core.parallel import ParallelExecutor
-
     reference_matrix, reference_partitions = reference_domain_matrix(workload, schema)
-    with ParallelExecutor(workers) as executor:
-        parallel = WorkloadMatrix.from_domain_analysis(
-            workload, schema, executor=executor
+    vectorized = WorkloadMatrix.from_domain_analysis(workload, schema)
+    if not np.array_equal(reference_matrix, vectorized.matrix):
+        raise AssertionError("domain analysis diverges from the reference matrix")
+    if [(p.signature, p.description) for p in reference_partitions] != [
+        (p.signature, p.description) for p in vectorized.partitions
+    ]:
+        raise AssertionError(
+            "domain-analysis partitions diverge from the reference"
         )
-        if not np.array_equal(reference_matrix, parallel.matrix):
-            raise AssertionError(
-                "parallel domain analysis diverges from the reference matrix"
-            )
-        if [(p.signature, p.description) for p in reference_partitions] != [
-            (p.signature, p.description) for p in parallel.partitions
-        ]:
-            raise AssertionError(
-                "parallel domain-analysis partitions diverge from the reference"
-            )
 
-        atoms = _attribute_atoms(workload, schema)
-        n_cells = math.prod(len(v) for v in atoms.values()) if atoms else 1
-
-        reference_seconds = _best_of(
-            repeats, lambda: reference_domain_matrix(workload, schema)
-        )
-        sequential_seconds = _best_of(
-            repeats, lambda: WorkloadMatrix.from_domain_analysis(workload, schema)
-        )
-        scaling: dict[str, float] = {}
-        for n_workers in sorted({1, 2, workers}):
-            with ParallelExecutor(n_workers) as scaled:
-                scaling[str(n_workers)] = _best_of(
-                    repeats,
-                    lambda: WorkloadMatrix.from_domain_analysis(
-                        workload, schema, executor=scaled
-                    ),
-                )
-        parallel_seconds = scaling[str(workers)]
+    atoms = _attribute_atoms(workload, schema)
+    n_cells = math.prod(len(v) for v in atoms.values()) if atoms else 1
+    reference_seconds = _best_of(
+        repeats, lambda: reference_domain_matrix(workload, schema)
+    )
+    vectorized_seconds = _best_of(
+        repeats, lambda: WorkloadMatrix.from_domain_analysis(workload, schema)
+    )
     return {
         "n_predicates": workload.size,
         "n_cells": int(n_cells),
-        "n_partitions": parallel.n_partitions,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
+        "n_partitions": vectorized.n_partitions,
         "reference_seconds": reference_seconds,
-        "sequential_vectorized_seconds": sequential_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup": reference_seconds / max(parallel_seconds, 1e-12),
+        "vectorized_seconds": vectorized_seconds,
+        "speedup": reference_seconds / max(vectorized_seconds, 1e-12),
         "speedup_baseline": "single-shard reference cell loop (BENCH_1 convention)",
-        "parallel_vs_sequential_vectorized": (
-            sequential_seconds / max(parallel_seconds, 1e-12)
-        ),
-        "worker_scaling_seconds": scaling,
         "parity": True,
     }
 
@@ -644,15 +610,14 @@ def bench_sharded_mask_evaluation(
     n_rows: int = 100_000,
     n_shards: int = 4,
     append_rows: int = 10_000,
-    workers: int = 4,
     n_predicates: int = 64,
     n_amount_cuts: int = 40,
     seed: int = 20190501,
 ) -> dict[str, object]:
-    """Shard-parallel workload evaluation and the incremental-append win.
+    """Workload evaluation over shards and the incremental-append win.
 
     Builds an ``n_shards``-shard table by repeated ``append_columns``,
-    parity-checks the shard-parallel masks against the reference evaluation
+    parity-checks its masks against the reference evaluation
     on the equivalent single-shard table, then appends one more chunk and
     measures re-evaluation: the old shards' views keep their warm masks, so
     only the new chunk is evaluated.
@@ -663,17 +628,11 @@ def bench_sharded_mask_evaluation(
     columnar artifacts and the shared category dictionary warm in both
     cases.  (The pre-PR-5 baseline was a cold evaluation of a fresh flat
     table, which conflated the measurement with dictionary interning --
-    free since the shared-dictionary work; and the end-to-end
-    ``workload.evaluate`` path is dominated on a single-core host by
-    thread-pool dispatch and mask concatenation, identical in both paths,
-    which drowned the warm-mask win.)  The end-to-end warm re-evaluation
+    free since the shared-dictionary work.)  The end-to-end warm re-evaluation
     and a full cold evaluation of the grown flat data are still reported
     (``incremental_after_append_seconds``, ``grown_mask_reeval_seconds``,
     ``grown_cold_seconds``) for context.
     """
-    from repro.core.parallel import ParallelExecutor
-    from repro.queries.predicates import evaluate_sharded
-
     workload = build_bench_workload(n_predicates, n_amount_cuts=n_amount_cuts)
     schema = bench_schema()
     chunk = max(n_rows // n_shards, 1)
@@ -697,112 +656,110 @@ def bench_sharded_mask_evaluation(
         },
     )
 
-    with ParallelExecutor(workers) as executor:
-        # Parity: shard-parallel masks == reference masks on the flat table.
+    # Parity: sharded-table masks == reference masks on the flat table.
+    for predicate in workload.predicates:
+        expected = reference_mask(predicate, flat)
+        actual = predicate.evaluate(table)
+        if not np.array_equal(expected, actual):
+            raise AssertionError(
+                f"sharded mask diverges from reference for "
+                f"{predicate.describe()!r}"
+            )
+
+    def run_sharded_cold() -> None:
+        table.clear_caches()
+        for view in table.shard_tables():
+            view.clear_caches()
+        workload.evaluate(table)
+
+    def run_flat_cold() -> None:
+        flat.clear_caches()
+        workload.evaluate(flat)
+
+    sharded_cold = _best_of(2, run_sharded_cold)
+    flat_cold = _best_of(2, run_flat_cold)
+
+    # End-to-end re-evaluation after appending one chunk (context only:
+    # the whole-table masks are keyed by version, so they all recompute).
+    workload.evaluate(table)
+    extra = build_bench_table(append_rows, seed=seed + n_shards)
+    table.append_columns(
+        {name: extra.column(name) for name in table.schema.attribute_names}
+    )
+    start = time.perf_counter()
+    workload.evaluate(table)
+    incremental_seconds = time.perf_counter() - start
+
+    # Isolated baseline: the same grown, sharded table with every mask
+    # LRU dropped (table-level combined masks and the per-shard view
+    # masks) but columnar artifacts and the shared dictionary warm --
+    # a pure full mask re-evaluation.
+    def run_grown_mask_reeval() -> None:
+        table.mask_cache.clear()
+        for view in table.shard_tables():
+            view.mask_cache.clear()
+        workload.evaluate(table)
+
+    grown_mask_reeval = _best_of(2, run_grown_mask_reeval)
+
+    grown_flat = flat.concat(extra)
+
+    def run_grown_cold() -> None:
+        grown_flat.clear_caches()
+        workload.evaluate(grown_flat)
+
+    grown_cold = _best_of(2, run_grown_cold)
+
+    # The isolated measurement: evaluate every predicate over every
+    # shard view, sequentially (no pool dispatch, no concatenation) --
+    # the exact layer the warm-mask reuse operates on.  Old shards'
+    # views answer from their mask LRUs; only the appended shard's view
+    # computes.  The baseline is the same loop with every mask LRU
+    # dropped (columnar artifacts and dictionary stay warm).
+    views = table.shard_tables()
+
+    def eval_all_views() -> None:
         for predicate in workload.predicates:
-            expected = reference_mask(predicate, flat)
-            actual = evaluate_sharded(predicate, table, executor)
-            if not np.array_equal(expected, actual):
-                raise AssertionError(
-                    f"sharded mask diverges from reference for "
-                    f"{predicate.describe()!r}"
-                )
-
-        def run_sharded_cold() -> None:
-            table.clear_caches()
-            for view in table.shard_tables():
-                view.clear_caches()
-            workload.evaluate(table, executor)
-
-        def run_flat_cold() -> None:
-            flat.clear_caches()
-            workload.evaluate(flat)
-
-        sharded_cold = _best_of(2, run_sharded_cold)
-        flat_cold = _best_of(2, run_flat_cold)
-
-        # Incremental append: warm every shard view, append one chunk, and
-        # re-evaluate -- only the new shard pays.
-        workload.evaluate(table, executor)
-        extra = build_bench_table(append_rows, seed=seed + n_shards)
-        table.append_columns(
-            {name: extra.column(name) for name in table.schema.attribute_names}
-        )
-        start = time.perf_counter()
-        workload.evaluate(table, executor)
-        incremental_seconds = time.perf_counter() - start
-
-        # Isolated baseline: the same grown, sharded table with every mask
-        # LRU dropped (table-level combined masks and the per-shard view
-        # masks) but columnar artifacts and the shared dictionary warm --
-        # a pure full mask re-evaluation.
-        def run_grown_mask_reeval() -> None:
-            table.mask_cache.clear()
-            for view in table.shard_tables():
-                view.mask_cache.clear()
-            workload.evaluate(table, executor)
-
-        grown_mask_reeval = _best_of(2, run_grown_mask_reeval)
-
-        grown_flat = flat.concat(extra)
-
-        def run_grown_cold() -> None:
-            grown_flat.clear_caches()
-            workload.evaluate(grown_flat)
-
-        grown_cold = _best_of(2, run_grown_cold)
-
-        # The isolated measurement: evaluate every predicate over every
-        # shard view, sequentially (no pool dispatch, no concatenation) --
-        # the exact layer the warm-mask reuse operates on.  Old shards'
-        # views answer from their mask LRUs; only the appended shard's view
-        # computes.  The baseline is the same loop with every mask LRU
-        # dropped (columnar artifacts and dictionary stay warm).
-        views = table.shard_tables()
-
-        def eval_all_views() -> None:
-            for predicate in workload.predicates:
-                for view in views:
-                    predicate.evaluate(view)
-
-        def drop_view_masks() -> None:
             for view in views:
-                view.mask_cache.clear()
+                predicate.evaluate(view)
 
-        extra_2 = build_bench_table(append_rows, seed=seed + n_shards + 1)
-        eval_all_views()  # warm every current shard view
-        table.append_columns(
-            {name: extra_2.column(name) for name in table.schema.attribute_names}
-        )
-        views = table.shard_tables()  # old views stay warm, one new view
-        start = time.perf_counter()
+    def drop_view_masks() -> None:
+        for view in views:
+            view.mask_cache.clear()
+
+    extra_2 = build_bench_table(append_rows, seed=seed + n_shards + 1)
+    eval_all_views()  # warm every current shard view
+    table.append_columns(
+        {name: extra_2.column(name) for name in table.schema.attribute_names}
+    )
+    views = table.shard_tables()  # old views stay warm, one new view
+    start = time.perf_counter()
+    eval_all_views()
+    incremental_mask_seconds = time.perf_counter() - start
+
+    def run_full_mask_reeval() -> None:
+        drop_view_masks()
         eval_all_views()
-        incremental_mask_seconds = time.perf_counter() - start
 
-        def run_full_mask_reeval() -> None:
-            drop_view_masks()
-            eval_all_views()
+    full_mask_reeval = _best_of(2, run_full_mask_reeval)
 
-        full_mask_reeval = _best_of(2, run_full_mask_reeval)
-
-        # The incremental result must still be exact on the grown data.
-        incremental_counts = workload.true_answers(table, executor)
-        expected_counts = np.array(
-            [
-                reference_mask(p, grown_flat.concat(extra_2)).sum()
-                for p in workload.predicates
-            ],
-            dtype=float,
-        )
-        if not np.array_equal(incremental_counts, expected_counts):
-            raise AssertionError("incremental sharded counts diverge from reference")
+    # The incremental result must still be exact on the grown data.
+    incremental_counts = workload.true_answers(table)
+    expected_counts = np.array(
+        [
+            reference_mask(p, grown_flat.concat(extra_2)).sum()
+            for p in workload.predicates
+        ],
+        dtype=float,
+    )
+    if not np.array_equal(incremental_counts, expected_counts):
+        raise AssertionError("incremental sharded counts diverge from reference")
 
     return {
         "n_rows": len(flat),
         "n_shards": n_shards,
         "append_rows": append_rows,
         "n_predicates": workload.size,
-        "workers": workers,
         "sharded_cold_seconds": sharded_cold,
         "single_shard_cold_seconds": flat_cold,
         "incremental_after_append_seconds": incremental_seconds,
@@ -1029,19 +986,16 @@ def bench_compaction(
     rows_per_append: int = 100,
     n_predicates: int = 32,
     n_amount_cuts: int = 20,
-    workers: int = 4,
     seed: int = 20190501,
 ) -> dict[str, object]:
-    """Cold shard-parallel evaluation before and after :meth:`Table.compact`.
+    """Cold workload evaluation before and after :meth:`Table.compact`.
 
     Builds a deliberately fragmented table (auto-compaction off, many tiny
-    appends), measures a cold shard-parallel workload evaluation over the
+    appends), measures a cold workload evaluation over the
     fragmented layout, compacts, and measures again.  The payload pins that
     compaction changed only the layout: same version token, bit-identical
     counts, fewer shards.
     """
-    from repro.core.parallel import ParallelExecutor
-
     workload = build_bench_workload(n_predicates, n_amount_cuts=n_amount_cuts)
     base = build_bench_table(n_rows, seed=seed)
     table = Table(
@@ -1060,31 +1014,29 @@ def bench_compaction(
             }
         )
 
-    def run_cold(executor) -> float:
+    def run_cold() -> float:
         table.clear_caches()
         for view in table.shard_tables():
             view.clear_caches()
         start = time.perf_counter()
-        workload.evaluate(table, executor)
+        workload.evaluate(table)
         return time.perf_counter() - start
 
-    with ParallelExecutor(workers) as executor:
-        shards_before = table.n_shards
-        fragmented_seconds = min(run_cold(executor) for _ in range(2))
-        counts_before = workload.true_answers(table, executor).copy()
-        version_before = table.version_token
+    shards_before = table.n_shards
+    fragmented_seconds = min(run_cold() for _ in range(2))
+    counts_before = workload.true_answers(table).copy()
+    version_before = table.version_token
 
-        compacted = table.compact()
-        shards_after = table.n_shards
-        compacted_seconds = min(run_cold(executor) for _ in range(2))
-        counts_after = workload.true_answers(table, executor)
+    compacted = table.compact()
+    shards_after = table.n_shards
+    compacted_seconds = min(run_cold() for _ in range(2))
+    counts_after = workload.true_answers(table)
 
     return {
         "n_rows": len(table),
         "n_appends": n_appends,
         "rows_per_append": rows_per_append,
         "n_predicates": workload.size,
-        "workers": workers,
         "compacted": bool(compacted),
         "n_shards_before": shards_before,
         "n_shards_after": shards_after,
@@ -1638,13 +1590,12 @@ def run_shard_microbenchmarks(
     workload = build_bench_workload(64, n_amount_cuts=n_amount_cuts)
     schema = bench_schema()
     domain = bench_sharded_domain_analysis(
-        workload, schema, workers=4, repeats=1 if quick else 2
+        workload, schema, repeats=1 if quick else 2
     )
     masks = bench_sharded_mask_evaluation(
         n_rows=mask_rows,
         n_shards=4,
         append_rows=append,
-        workers=4,
         n_amount_cuts=n_amount_cuts,
         seed=seed,
     )

@@ -5,8 +5,8 @@
 * :mod:`repro.core.translator` -- accuracy-to-privacy mechanism selection.
 * :mod:`repro.core.accounting` -- privacy ledger and transcript of interaction.
 * :mod:`repro.core.accuracy` -- the ``(alpha, beta)`` accuracy requirement.
-* :mod:`repro.core.parallel` -- the thread-pool executor behind
-  shard-parallel predicate evaluation and chunk-parallel domain analysis.
+* :mod:`repro.core.parallel` -- the thread-pool executor behind the
+  asyncio service front.
 * :mod:`repro.core.exceptions` -- the library's exception hierarchy.
 """
 
@@ -24,18 +24,12 @@ from repro.core.exceptions import (
     SchemaError,
     TranslationError,
 )
-from repro.core.parallel import (
-    ParallelExecutor,
-    get_default_executor,
-    set_default_executor,
-)
+from repro.core.parallel import ParallelExecutor
 from repro.core.translator import AccuracyTranslator, MechanismChoice, SelectionMode
 
 __all__ = [
     "AccuracySpec",
     "ParallelExecutor",
-    "get_default_executor",
-    "set_default_executor",
     "PrivacyLedger",
     "Transcript",
     "TranscriptEntry",

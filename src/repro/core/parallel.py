@@ -1,30 +1,9 @@
-"""A small thread-pool facade for shard- and chunk-parallel fan-out.
+"""A small thread-pool facade behind the asyncio service front.
 
-The hot loops this executor feeds are numpy-dominated (predicate masks over
-row shards, domain-cell signature evaluation over cell chunks), and numpy
-releases the GIL inside its ufunc/indexing/sort inner loops, so plain threads
-scale on multi-core hosts without any pickling or process start-up cost.  The
-work units are coarse (one shard / one cell chunk each), which keeps the
-per-task Python overhead negligible against the array work.
-
-Design points:
-
-* :meth:`ParallelExecutor.map` preserves input order and propagates the first
-  worker exception to the caller (the remaining tasks still run to completion
-  -- the pool is shared, cancellation is not worth the complexity for
-  chunk-sized work items);
-* a ``max_workers=1`` executor (or a one-element task list) runs inline on
-  the calling thread, so callers can thread an executor through
-  unconditionally and still pay nothing in the sequential case;
-* :func:`set_default_executor` installs a process-wide default that the
-  evaluation paths (:func:`repro.queries.predicates.evaluate_sharded`,
-  :meth:`repro.queries.workload.WorkloadMatrix.from_domain_analysis`) pick up
-  when no explicit executor is passed -- this is how a deployment turns on
-  multi-core evaluation without threading a handle through every call site.
-
-Parallelism never changes results: every parallel path merges its partials
-into exactly the artifact the sequential path produces (pinned by the parity
-tests in ``tests/queries/test_sharded_parity.py``).
+:meth:`ParallelExecutor.submit` is the future-returning primitive
+:mod:`repro.service.async_front` awaits; the pool is built lazily on the
+first submit, and every scheduled call inherits the submitting request's
+trace context.
 """
 
 from __future__ import annotations
@@ -32,30 +11,20 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from repro.obs import tracing
 
-__all__ = [
-    "ParallelExecutor",
-    "get_default_executor",
-    "set_default_executor",
-]
+__all__ = ["ParallelExecutor"]
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 
 class ParallelExecutor:
-    """An order-preserving thread pool for shard/chunk evaluation.
-
-    The executor is safe to share across threads and across the snapshot
-    read path: the work items it receives (single-shard table views, cell
-    chunks) are immutable, so concurrent maps never contend on data.
+    """A lazily built thread pool that is safe to share across threads.
 
     :param max_workers: pool size; defaults to the host's CPU count (capped
-        at 8 -- the work units are coarse, more threads only add
-        contention).
+        at 8).
     :raises ValueError: when ``max_workers`` is less than 1.
     """
 
@@ -68,13 +37,9 @@ class ParallelExecutor:
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
-    @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
     def _ensure_pool(self) -> ThreadPoolExecutor:
-        # Lazily built so constructing an executor (e.g. a module-level
-        # default) costs nothing until the first parallel map.
+        # Lazily built so constructing an executor costs nothing until the
+        # first submit.
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
@@ -83,38 +48,14 @@ class ParallelExecutor:
                 )
             return self._pool
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """Apply ``fn`` to every item, in order; inline when sequential.
-
-        :param fn: the per-item work function (typically GIL-releasing
-            numpy over one shard or one cell chunk).
-        :param items: the work items; consumed eagerly into a list.
-        :returns: ``[fn(item) for item in items]``, in input order.
-        :raises BaseException: the first exception raised by any task, once
-            every submitted task has settled (the remaining tasks still run
-            to completion -- the pool is shared, cancellation is not worth
-            the complexity for chunk-sized work items).
-
-        A ``max_workers=1`` executor (or a zero/one-element task list) runs
-        inline on the calling thread, so callers thread an executor through
-        unconditionally and pay nothing in the sequential case.
-        """
-        tasks: Sequence[T] = list(items)
-        if self._max_workers == 1 or len(tasks) <= 1:
-            return [fn(item) for item in tasks]
-        pool = self._ensure_pool()
-        # Pool threads inherit the submitting request's trace context (a
-        # no-op returning ``fn`` unchanged when tracing is off).
-        return list(pool.map(tracing.bind_current(fn), tasks))
-
     def submit(self, fn: Callable[..., R], /, *args: object, **kwargs: object):
         """Schedule one call on the pool and return its ``Future``.
 
         The future-returning primitive beneath the asyncio service front
         (:mod:`repro.service.async_front` awaits it via
-        ``asyncio.wrap_future``).  Unlike :meth:`map`, ``submit`` always
-        goes through the pool -- even at ``max_workers=1`` -- because the
-        caller is explicitly asking *not* to block the submitting thread.
+        ``asyncio.wrap_future``).  ``submit`` always goes through the pool
+        -- even at ``max_workers=1`` -- because the caller is explicitly
+        asking *not* to block the submitting thread.
 
         :returns: a :class:`concurrent.futures.Future` for ``fn(*args,
             **kwargs)``.
@@ -125,7 +66,7 @@ class ParallelExecutor:
         """Release the pool threads (idempotent).
 
         :param wait: block until in-flight tasks finish.  A later
-            :meth:`map` lazily rebuilds the pool, so shutdown is a pause,
+            :meth:`submit` lazily rebuilds the pool, so shutdown is a pause,
             not an end-of-life.
         """
         with self._pool_lock:
@@ -141,34 +82,3 @@ class ParallelExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelExecutor(max_workers={self._max_workers})"
-
-
-_default_lock = threading.Lock()
-_default_executor: ParallelExecutor | None = None
-
-
-def get_default_executor() -> ParallelExecutor | None:
-    """The process-wide default executor, or ``None`` (sequential).
-
-    :returns: the executor installed by :func:`set_default_executor`, picked
-        up automatically by every evaluation path that is not handed an
-        explicit executor.
-    """
-    return _default_executor
-
-
-def set_default_executor(
-    executor: ParallelExecutor | None,
-) -> ParallelExecutor | None:
-    """Install (or clear, with ``None``) the process-wide default executor.
-
-    :param executor: the executor to install, or ``None`` to return the
-        process to sequential evaluation.
-    :returns: the previously installed executor so callers can restore it;
-        the caller keeps ownership of both (no implicit shutdown).
-    """
-    global _default_executor
-    with _default_lock:
-        previous = _default_executor
-        _default_executor = executor
-        return previous

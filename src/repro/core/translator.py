@@ -86,13 +86,6 @@ class AccuracyTranslator:
     #: Maximum number of memoised translation lists per translator.
     CACHE_MAX_ENTRIES = 512
 
-    #: Stripe-sharding knobs for the memo caches (see ``core/lru.py``):
-    #: four independent shards so concurrent sessions translating
-    #: different workloads never contend on one mutex, doubling
-    #: adaptively under sustained seqlock conflict.
-    CACHE_STRIPES = 4
-    CACHE_MAX_STRIPES = 16
-
     def __init__(
         self,
         registry: MechanismRegistry | None = None,
@@ -102,20 +95,12 @@ class AccuracyTranslator:
         self._mode = mode
         self._translation_cache: LRUCache[
             list[tuple[Mechanism, TranslationResult]]
-        ] = LRUCache(
-            self.CACHE_MAX_ENTRIES,
-            stripes=self.CACHE_STRIPES,
-            max_stripes=self.CACHE_MAX_STRIPES,
-        )
+        ] = LRUCache(self.CACHE_MAX_ENTRIES)
         #: Revalidation tier: the same lists keyed by domain fingerprints
         #: instead of the version, so domain-preserving mutations re-tag.
         self._domain_cache: LRUCache[
             list[tuple[Mechanism, TranslationResult]]
-        ] = LRUCache(
-            self.CACHE_MAX_ENTRIES,
-            stripes=self.CACHE_STRIPES,
-            max_stripes=self.CACHE_MAX_STRIPES,
-        )
+        ] = LRUCache(self.CACHE_MAX_ENTRIES)
         self._tier_stats = {
             "built": 0,
             "revalidated": 0,

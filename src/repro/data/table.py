@@ -14,8 +14,7 @@ Storage is a list of immutable **row shards** (one frozen column-chunk
 :class:`_Shard` per chunk) behind the existing columnar API:
 :meth:`Table.column` lazily concatenates the shard chunks, and
 :meth:`Table.shard_tables` exposes each shard as its own single-shard
-``Table`` view so evaluation can fan out over shards in parallel
-(:mod:`repro.core.parallel`).
+``Table`` view.
 
 Tables are *versioned*, not frozen: :meth:`Table.append_rows` adds a new
 shard and :meth:`Table.refresh` replaces the contents wholesale.  Both
@@ -109,15 +108,6 @@ __all__ = ["DomainStamp", "Table", "TableSnapshot", "TableVersion"]
 MASK_CACHE_BYTE_BUDGET = 64 * 1024 * 1024
 #: Entry-count ceiling of the mask LRU (reached only by small tables).
 MASK_CACHE_MAX_ENTRIES = 4096
-#: Stripe-growth ceiling of the mask LRU: the cache starts at one stripe
-#: (exact global LRU order for single-session workloads) and doubles its
-#: shard count under sustained seqlock conflict, up to this bound.
-MASK_CACHE_MAX_STRIPES = 8
-
-
-def _new_mask_cache(capacity: int) -> "LRUCache[np.ndarray]":
-    """The mask LRU used by every table/snapshot: adaptively striped."""
-    return LRUCache(capacity, max_stripes=MASK_CACHE_MAX_STRIPES)
 
 #: Compaction trigger: merge shards once the table has more than this many.
 COMPACT_MAX_SHARDS = 64
@@ -260,7 +250,7 @@ class Table:
         self._float_values: dict[str, np.ndarray] = {}
         self._category_codes: dict[str, tuple[np.ndarray, dict[str, int]]] = {}
         self._domain_fingerprints: dict[str, str] = {}
-        self._mask_cache: LRUCache[np.ndarray] = _new_mask_cache(
+        self._mask_cache: LRUCache[np.ndarray] = LRUCache(
             self._mask_cache_capacity()
         )
         #: Bounded memo of recent versions' snapshots (newest last); the
@@ -357,7 +347,7 @@ class Table:
         self._float_values = {}
         self._category_codes = {}
         self._domain_fingerprints = {}
-        self._mask_cache = _new_mask_cache(self._mask_cache_capacity())
+        self._mask_cache = LRUCache(self._mask_cache_capacity())
         self._snapshots = OrderedDict()
         self._snapshot_stats = {"created": 0, "reused": 0, "evicted": 0, "closed": 0}
         self._closed = False
@@ -479,8 +469,7 @@ class Table:
         append remains valid -- and keeps its warm per-shard caches --
         afterwards; only new shards need fresh evaluation.  Views are
         memoised on the shard object, so a table and its snapshots hand out
-        the same (warm) views.  This is the unit of work for shard-parallel
-        evaluation (:func:`repro.queries.predicates.evaluate_sharded`).
+        the same (warm) views.
         """
         with self._mutation_lock:
             self._ensure_open()
@@ -566,7 +555,7 @@ class Table:
         # Snapshots of the previous version keep the old LRU (their masks
         # stay warm for in-flight readers) and stay in the bounded snapshot
         # memo until evicted by newer versions.
-        self._mask_cache = _new_mask_cache(self._mask_cache_capacity())
+        self._mask_cache = LRUCache(self._mask_cache_capacity())
 
     # -- compaction ------------------------------------------------------------
 
@@ -1223,7 +1212,7 @@ class TableSnapshot(Table):
             self._float_values = {}
             self._category_codes = {}
             self._domain_fingerprints = {}
-            self._mask_cache = _new_mask_cache(16)
+            self._mask_cache = LRUCache(16)
 
     def __enter__(self) -> "TableSnapshot":
         self._ensure_open()
@@ -1272,7 +1261,7 @@ class TableSnapshot(Table):
             self._materialized = (
                 dict(self._shards[0].columns) if len(self._shards) == 1 else {}
             )
-            self._mask_cache = _new_mask_cache(self._mask_cache_capacity())
+            self._mask_cache = LRUCache(self._mask_cache_capacity())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

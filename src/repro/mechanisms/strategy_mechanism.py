@@ -38,6 +38,7 @@ from repro.data.schema import Schema
 from repro.data.table import DomainStamp, Table, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.obs import tracing
+from repro.obs.registry import default_metrics
 from repro.store.fingerprint import stable_digest
 from repro.mechanisms.noise import laplace_noise
 from repro.mechanisms.strategies import (
@@ -58,23 +59,27 @@ __all__ = [
 
 StrategyFactory = Callable[[int], StrategyMatrix]
 
-#: Process-wide counters of the Monte-Carlo epsilon search: ``searches``
-#: counts binary searches actually executed (each one runs tens of
-#: Monte-Carlo simulations), ``disk_hits`` counts searches answered from an
+#: Process-wide registry counters of the Monte-Carlo epsilon search,
+#: exported as ``repro_mechanisms_sm_<name>``: ``searches`` counts binary
+#: searches actually executed (each one runs tens of Monte-Carlo
+#: simulations), ``disk_hits`` counts searches answered from an
 #: :class:`~repro.store.ArtifactStore` instead.  Benchmarks and the
 #: warm-start acceptance tests use these to pin "zero re-searches".
-_SEARCH_STATS = {"searches": 0, "disk_hits": 0, "disk_writes": 0}
+_SEARCH_COUNTERS = {
+    name: default_metrics().counter(f"repro_mechanisms_sm_{name}")
+    for name in ("searches", "disk_hits", "disk_writes")
+}
 
 
 def search_stats() -> dict[str, int]:
-    """Process-wide Monte-Carlo search counters (see :data:`_SEARCH_STATS`)."""
-    return dict(_SEARCH_STATS)
+    """Process-wide Monte-Carlo search counters (see :data:`_SEARCH_COUNTERS`)."""
+    return {name: int(c.value()) for name, c in _SEARCH_COUNTERS.items()}
 
 
 def reset_search_stats() -> None:
     """Zero the process-wide Monte-Carlo search counters."""
-    for key in _SEARCH_STATS:
-        _SEARCH_STATS[key] = 0
+    for counter in _SEARCH_COUNTERS.values():
+        counter.reset()
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,7 @@ class StrategyMechanism(Mechanism):
         # mutation (new version token) forces a fresh search instead of
         # resurrecting a stale one.  Tokens hold their referents, so ids
         # never alias.
-        self._cache: LRUCache[StrategyTranslation] = LRUCache(
-            256, stripes=4, max_stripes=16
-        )
+        self._cache: LRUCache[StrategyTranslation] = LRUCache(256)
 
     # -- public API ---------------------------------------------------------------
 
@@ -247,7 +250,7 @@ class StrategyMechanism(Mechanism):
         if store_key is not None:
             loaded = store.load("wcqsm", store_key)  # type: ignore[union-attr]
             if isinstance(loaded, StrategyTranslation):
-                _SEARCH_STATS["disk_hits"] += 1
+                _SEARCH_COUNTERS["disk_hits"].inc()
                 tracing.annotate("search_tier", "disk")
                 self._cache.put(cache_key, loaded)
                 return loaded
@@ -263,7 +266,7 @@ class StrategyMechanism(Mechanism):
             epsilon, iterations = self._binary_search_epsilon(
                 reconstruction, sensitivity, alpha, beta, chebyshev_upper, simulation_rng
             )
-        _SEARCH_STATS["searches"] += 1
+        _SEARCH_COUNTERS["searches"].inc()
         tracing.annotate("search_tier", "built")
         translation = StrategyTranslation(
             epsilon=epsilon,
@@ -276,7 +279,7 @@ class StrategyMechanism(Mechanism):
         self._cache.put(cache_key, translation)
         if store_key is not None:
             if store.save("wcqsm", store_key, translation):  # type: ignore[union-attr]
-                _SEARCH_STATS["disk_writes"] += 1
+                _SEARCH_COUNTERS["disk_writes"].inc()
         return translation
 
     def _build_strategy(self, workload_matrix: WorkloadMatrix) -> StrategyMatrix:

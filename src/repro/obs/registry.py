@@ -1,15 +1,13 @@
-"""The central metrics registry: seqlock-consistent primitives + collectors.
+"""The central metrics registry: thread-safe primitives + collectors.
 
 Two registration shapes cover the whole codebase:
 
 * **primitives** (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) for
   code that has no counter surface of its own yet (the bench harness's
-  ``RUN_TIMINGS`` histograms, ad-hoc service gauges).  Every primitive is
-  thread-safe, and every multi-field snapshot follows the seqlock
-  discipline of :meth:`repro.core.lru.LRUCache.stats`: writers bump an
-  even/odd sequence counter around the mutation, readers speculate a
-  bounded number of times and fall back to the lock -- so a snapshot can
-  never observe a torn ``(count, sum)`` pair (e.g. a mean above the
+  ``RUN_TIMINGS`` histograms, the WCQ-SM search and matrix-tier counters,
+  ad-hoc service gauges).  Every primitive is thread-safe, and every
+  multi-field snapshot is read under the primitive's lock -- so a snapshot
+  can never observe a torn ``(count, sum)`` pair (e.g. a mean above the
   observed max);
 * **collectors** for the existing ``stats()`` facades (LRU, ledger, pool,
   batcher, store, reliability, async front).  A collector is a zero-arg
@@ -20,7 +18,7 @@ Two registration shapes cover the whole codebase:
 
 Naming scheme (checked at registration and at snapshot):
 ``repro_<subsystem>_<name>`` in snake case, with optional Prometheus-style
-labels -- ``repro_lru_optimistic_hits{cache="translation"}``.  Metric names
+labels -- ``repro_session_spent{analyst="alice"}``.  Metric names
 must be unique across primitives and collectors; a collision raises
 :class:`MetricNameError` rather than silently shadowing a series.
 
@@ -35,7 +33,6 @@ import threading
 from typing import Callable, Mapping
 
 __all__ = [
-    "OPTIMISTIC_RETRIES",
     "Counter",
     "Gauge",
     "Histogram",
@@ -46,10 +43,6 @@ __all__ = [
     "metric_name_is_valid",
     "quantile",
 ]
-
-#: Optimistic snapshot attempts before falling back to the primitive's lock
-#: (mirrors :data:`repro.core.lru.OPTIMISTIC_RETRIES`).
-OPTIMISTIC_RETRIES = 3
 
 #: ``repro_<subsystem>_<name>`` with optional ``{key="value",...}`` labels.
 _NAME_RE = re.compile(
@@ -121,7 +114,7 @@ class Counter:
             self._value += amount
 
     def value(self) -> float:
-        # A single float read is atomic under the GIL; no seqlock needed.
+        # A single float read is atomic under the GIL.
         return self._value
 
     def reset(self) -> None:
@@ -155,11 +148,9 @@ class Gauge:
 class Histogram:
     """Streaming distribution: count/sum/min/max plus a sampling reservoir.
 
-    ``observe`` is a short critical section; ``snapshot`` reads every field
-    between two reads of the sequence counter (speculate, validate, retry
-    ``OPTIMISTIC_RETRIES`` times, then take the lock) so the aggregates it
-    returns always describe one consistent point in time -- the same
-    protocol the striped LRU's ``stats()`` uses.
+    ``observe`` and ``snapshot`` each run in one short critical section, so
+    the aggregates a snapshot returns always describe one consistent point
+    in time.
 
     Quantiles (p50/p95) come from a bounded ring-buffer reservoir of the
     most recent ``reservoir`` observations: exact for short-lived bench
@@ -170,7 +161,6 @@ class Histogram:
         "name",
         "help",
         "_lock",
-        "_seq",
         "_count",
         "_sum",
         "_min",
@@ -188,7 +178,6 @@ class Histogram:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
-        self._seq = 0
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
@@ -200,7 +189,6 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            self._seq += 1
             self._count += 1
             self._sum += value
             if value < self._min:
@@ -212,21 +200,15 @@ class Histogram:
             else:
                 self._samples[self._next] = value
                 self._next = (self._next + 1) % self._reservoir
-            self._seq += 1
 
     def _read(self) -> tuple[int, float, float, float, tuple[float, ...]]:
         return (self._count, self._sum, self._min, self._max, tuple(self._samples))
 
     def snapshot(self) -> dict[str, float]:
         """Consistent aggregates: count/sum/mean/min/max/p50/p95."""
-        for _ in range(OPTIMISTIC_RETRIES):
-            s1 = self._seq
-            if not (s1 & 1):
-                view = self._read()
-                if s1 == self._seq:
-                    return self._aggregate(view)
         with self._lock:
-            return self._aggregate(self._read())
+            view = self._read()
+        return self._aggregate(view)
 
     @staticmethod
     def _aggregate(
@@ -256,14 +238,12 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
-            self._seq += 1
             self._count = 0
             self._sum = 0.0
             self._min = float("inf")
             self._max = float("-inf")
             self._samples = []
             self._next = 0
-            self._seq += 1
 
 
 #: The suffixes one histogram expands to in a flat registry snapshot.

@@ -48,10 +48,7 @@ re-enumerating millions of cells -- and then to the stamp's optional
 :class:`~repro.store.ArtifactStore`, so a fresh process warm-starts from a
 previous run's disk cache.  ``matrix_cache_stats()`` reports
 ``built``/``revalidated``/``disk_hits`` alongside the LRU counters; the
-full contract lives in ``docs/store.md``.  The chunked cell enumeration and
-the per-table predicate evaluation both accept a
-:class:`~repro.core.parallel.ParallelExecutor` to fan the numpy work out over
-threads (partials merge deterministically; results are bit-identical).
+full contract lives in ``docs/store.md``.
 """
 
 from __future__ import annotations
@@ -65,10 +62,10 @@ import numpy as np
 
 from repro.core.exceptions import PredicateError, QueryError
 from repro.core.lru import LRUCache
-from repro.core.parallel import ParallelExecutor, get_default_executor
 from repro.data.schema import AttributeKind, Schema
 from repro.data.table import DomainStamp, Table, TableVersion
 from repro.obs import tracing
+from repro.obs.registry import default_metrics
 from repro.store.fingerprint import stable_digest
 from repro.queries.predicates import (
     And,
@@ -83,7 +80,6 @@ from repro.queries.predicates import (
     Or,
     Predicate,
     TruePredicate,
-    evaluate_sharded,
 )
 
 __all__ = [
@@ -127,37 +123,21 @@ class _IdKey:
         return isinstance(other, _IdKey) and other.obj is self.obj
 
 
-#: Stripe-sharding knobs for the process-wide matrix memos: these are
-#: shared by every session in the process, so they shard across four
-#: seqlock stripes (doubling adaptively under conflict, see
-#: ``core/lru.py``) instead of serializing on one mutex.
-_MATRIX_CACHE_STRIPES = 4
-_MATRIX_CACHE_MAX_STRIPES = 16
-
 #: Process-wide LRU of :class:`WorkloadMatrix` keyed by workload structure
 #: plus the exact table version (or stamp) the analysis was requested for.
-_MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(
-    128,
-    stripes=_MATRIX_CACHE_STRIPES,
-    max_stripes=_MATRIX_CACHE_MAX_STRIPES,
-)
+_MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
 #: Revalidation tier: the same matrices keyed by workload structure plus the
 #: *domain fingerprints* only -- version-free, so a domain-preserving
 #: mutation finds the existing matrix here and re-tags it for its new
 #: version instead of rebuilding.
-_MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(
-    128,
-    stripes=_MATRIX_CACHE_STRIPES,
-    max_stripes=_MATRIX_CACHE_MAX_STRIPES,
-)
+_MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
 
-#: Counters of the tiers beneath the exact-key LRU (see matrix_cache_stats).
-_MATRIX_TIER_STATS = {
-    "built": 0,
-    "revalidated": 0,
-    "disk_hits": 0,
-    "disk_writes": 0,
+#: Registry counters of the tiers beneath the exact-key LRU, exported as
+#: ``repro_queries_matrix_<tier>`` (see matrix_cache_stats).
+_MATRIX_TIER_COUNTERS = {
+    tier: default_metrics().counter(f"repro_queries_matrix_{tier}")
+    for tier in ("built", "revalidated", "disk_hits", "disk_writes")
 }
 
 
@@ -170,15 +150,16 @@ def matrix_cache_stats() -> dict[str, int]:
     store, and ``built`` the analyses that actually enumerated (the only
     counter that costs real work).
     """
-    return {**_MATRIX_CACHE.stats(), **_MATRIX_TIER_STATS}
+    tiers = {tier: int(c.value()) for tier, c in _MATRIX_TIER_COUNTERS.items()}
+    return {**_MATRIX_CACHE.stats(), **tiers}
 
 
 def clear_matrix_cache() -> None:
     """Drop every memoised workload matrix and reset every counter."""
     _MATRIX_CACHE.clear()
     _MATRIX_DOMAIN_CACHE.clear()
-    for key in _MATRIX_TIER_STATS:
-        _MATRIX_TIER_STATS[key] = 0
+    for counter in _MATRIX_TIER_COUNTERS.values():
+        counter.reset()
 
 
 class Workload:
@@ -248,38 +229,22 @@ class Workload:
 
     # -- evaluation -------------------------------------------------------------
 
-    def evaluate(
-        self, table: Table, executor: ParallelExecutor | None = None
-    ) -> np.ndarray:
+    def evaluate(self, table: Table) -> np.ndarray:
         """Boolean membership matrix of shape ``(n_rows, L)``.
 
         All predicates evaluate against **one** pinned snapshot of the table
         (taken up front), so the stacked masks always describe a single
-        version even while ``append_rows`` runs concurrently.  With an
-        executor (argument, else the process default) and a multi-shard
-        table, every predicate evaluates shard-parallel
-        (:func:`~repro.queries.predicates.evaluate_sharded`); the result is
-        bit-identical to the sequential path.
+        version even while ``append_rows`` runs concurrently.
         """
         table = table.snapshot()
-        if executor is None:
-            executor = get_default_executor()
-        if executor is not None and table.n_shards > 1:
-            masks = [
-                evaluate_sharded(pred, table, executor)
-                for pred in self._predicates
-            ]
-        else:
-            masks = [pred.evaluate(table) for pred in self._predicates]
+        masks = [pred.evaluate(table) for pred in self._predicates]
         if not masks:
             return np.zeros((len(table), 0), dtype=bool)
         return np.column_stack(masks)
 
-    def true_answers(
-        self, table: Table, executor: ParallelExecutor | None = None
-    ) -> np.ndarray:
+    def true_answers(self, table: Table) -> np.ndarray:
         """True counts ``c_phi_i(D)`` for every predicate, as a float vector."""
-        return self.evaluate(table, executor).sum(axis=0).astype(float)
+        return self.evaluate(table).sum(axis=0).astype(float)
 
     # -- analysis ---------------------------------------------------------------
 
@@ -290,7 +255,6 @@ class Workload:
         disjoint: bool | None = None,
         sensitivity: float | None = None,
         version: TableVersion | DomainStamp | None = None,
-        executor: ParallelExecutor | None = None,
     ) -> "WorkloadMatrix":
         """Compute the matrix representation of this workload.
 
@@ -316,10 +280,6 @@ class Workload:
             fingerprints: re-tag, don't rebuild) and then to the stamp's
             :class:`~repro.store.ArtifactStore` (cross-process warm start)
             before anything is re-enumerated.
-        executor:
-            Optional :class:`~repro.core.parallel.ParallelExecutor` for
-            chunk-parallel domain-cell enumeration (speed only, never part of
-            the memo key).
 
         Results are memoised per workload structure: analysing a
         structurally identical workload (equal predicates and names, same
@@ -343,7 +303,7 @@ class Workload:
                 # Same workload, same referenced domains, different version:
                 # the enumeration would reproduce this matrix bit for bit, so
                 # re-tag it for the new version instead of rebuilding.
-                _MATRIX_TIER_STATS["revalidated"] += 1
+                _MATRIX_TIER_COUNTERS["revalidated"].inc()
                 tracing.annotate("matrix_tier", "revalidated")
                 _MATRIX_CACHE.put(key, cached)
                 return cached
@@ -361,7 +321,7 @@ class Workload:
             payload = store.load("matrix", store_digest)  # type: ignore[union-attr]
             matrix = self._matrix_from_payload(payload, schema, version, store_digest)
             if matrix is not None:
-                _MATRIX_TIER_STATS["disk_hits"] += 1
+                _MATRIX_TIER_COUNTERS["disk_hits"].inc()
                 tracing.annotate("matrix_tier", "disk")
                 if key is not None:
                     _MATRIX_CACHE.put(key, matrix)
@@ -371,13 +331,13 @@ class Workload:
         with tracing.span("workload.matrix_build", exact=exact):
             if exact:
                 matrix = WorkloadMatrix.from_domain_analysis(
-                    self, schema, version=version, executor=executor
+                    self, schema, version=version
                 )
             else:
                 matrix = WorkloadMatrix.from_structure(
                     self, disjoint=bool(disjoint), sensitivity=sensitivity
                 )
-        _MATRIX_TIER_STATS["built"] += 1
+        _MATRIX_TIER_COUNTERS["built"].inc()
         tracing.annotate("matrix_tier", "built")
         if key is not None:
             _MATRIX_CACHE.put(key, matrix)
@@ -393,7 +353,7 @@ class Workload:
             matrix.store_digest = store_digest
             if matrix.exact:
                 if store.save("matrix", store_digest, _matrix_payload(matrix)):  # type: ignore[union-attr]
-                    _MATRIX_TIER_STATS["disk_writes"] += 1
+                    _MATRIX_TIER_COUNTERS["disk_writes"].inc()
         return matrix
 
     def _store_digest(
@@ -566,7 +526,6 @@ class WorkloadMatrix:
         schema: Schema,
         *,
         version: TableVersion | DomainStamp | None = None,
-        executor: ParallelExecutor | None = None,
     ) -> "WorkloadMatrix":
         """Exact, data-independent matrix via vectorized domain-cell enumeration.
 
@@ -574,10 +533,7 @@ class WorkloadMatrix:
         then the predicate ASTs are combined over the cell cross-product by
         indexing those per-attribute vectors with broadcast cell coordinates;
         signatures are deduplicated chunk by chunk with bit packing and
-        ``np.unique``.  With an ``executor`` the chunk loop fans out over the
-        pool and the per-chunk partials are merged by minimal cell index,
-        which reproduces the sequential first-occurrence semantics exactly.
-        Semantics (including which cell describes each partition: the first
+        ``np.unique``.  Semantics (including which cell describes each partition: the first
         one in cross-product order) match the original per-cell enumeration.
 
         ``version`` stamps the matrix's :attr:`cache_token` with the table
@@ -596,7 +552,7 @@ class WorkloadMatrix:
                 f"domain analysis would enumerate {n_cells} cells "
                 f"(limit {MAX_DOMAIN_CELLS}); use structural analysis instead"
             )
-        partitions = _enumerate_partitions(workload, atoms, executor=executor)
+        partitions = _enumerate_partitions(workload, atoms)
         matrix = _signatures_to_matrix(workload.size, partitions)
         instance = cls(workload, matrix, partitions, exact=True)
         token = _structural_token(workload, schema)
@@ -682,9 +638,7 @@ class WorkloadMatrix:
 
     # -- data-facing operations --------------------------------------------------
 
-    def partition_histogram(
-        self, table: Table, executor: ParallelExecutor | None = None
-    ) -> np.ndarray:
+    def partition_histogram(self, table: Table) -> np.ndarray:
         """The histogram ``x`` of ``table`` over the workload partitions.
 
         Each row is assigned to the partition matching its predicate
@@ -705,7 +659,7 @@ class WorkloadMatrix:
         cached = self._histogram_cache
         if cached is not None and cached[0]() is table and cached[1] == version:
             return cached[2]
-        membership = self._workload.evaluate(table, executor)
+        membership = self._workload.evaluate(table)
         histogram = np.zeros(self.n_partitions, dtype=float)
         if membership.size == 0:
             return histogram
@@ -739,11 +693,9 @@ class WorkloadMatrix:
         self._histogram_cache = (weakref.ref(table), version, histogram)
         return histogram
 
-    def true_answers(
-        self, table: Table, executor: ParallelExecutor | None = None
-    ) -> np.ndarray:
+    def true_answers(self, table: Table) -> np.ndarray:
         """True per-predicate counts (equals ``matrix @ partition_histogram``)."""
-        return self._workload.true_answers(table, executor)
+        return self._workload.true_answers(table)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -783,20 +735,16 @@ def _structural_token(workload: Workload, schema: Schema) -> tuple | None:
 def _enumerate_partitions(
     workload: Workload,
     atoms: "dict[str, list[CellValue]]",
-    executor: ParallelExecutor | None = None,
 ) -> list[DomainPartition]:
     """Vectorized signature enumeration over the atom cross-product.
 
     Streams the cross-product in chunks (bounded by :data:`_CELL_BUDGET`
     booleans at a time), evaluates every predicate over each chunk by fancy
     indexing per-leaf atom vectors, bit-packs the resulting signature rows and
-    deduplicates them with ``np.unique``.  Each chunk produces an independent
-    partial (``signature -> first flat cell index``); partials merge by
-    *minimal* cell index, which equals the sequential first-occurrence rule,
-    so the chunks can run in any order -- including concurrently on
-    ``executor`` -- without changing the result.  Partition descriptions come
-    from the first cell (in cross-product order) carrying each signature,
-    matching the original ``itertools.product`` enumeration.
+    deduplicates them with ``np.unique``.  Chunks are visited in cross-product
+    order, so the first chunk to see a signature holds its first cell, and
+    partition descriptions come from that cell, matching the original
+    ``itertools.product`` enumeration.
     """
     attr_names = list(atoms)
     if not attr_names:
@@ -822,17 +770,11 @@ def _enumerate_partitions(
 
     n_predicates = workload.size
     chunk_cells = max(_MIN_CHUNK_CELLS, _CELL_BUDGET // max(n_predicates, 1))
-    if executor is not None and executor.max_workers > 1:
-        # Split fine enough to keep every worker busy (a few chunks each),
-        # but never below the floor that keeps per-chunk numpy work coarse.
-        per_worker_target = -(-n_cells // (4 * executor.max_workers))
-        chunk_cells = max(_MIN_CHUNK_CELLS, min(chunk_cells, per_worker_target))
 
-    def chunk_partial(
-        bounds: tuple[int, int]
-    ) -> dict[bytes, tuple[tuple[bool, ...], int]]:
-        """signature bytes -> (signature tuple, first flat cell index)."""
-        start, end = bounds
+    #: signature bytes -> (signature tuple, first flat cell index).
+    found: dict[bytes, tuple[tuple[bool, ...], int]] = {}
+    for start in range(0, n_cells, chunk_cells):
+        end = min(start + chunk_cells, n_cells)
         flat = np.arange(start, end, dtype=np.int64)
         coordinates = {
             name: (flat // strides[j]) % sizes[j]
@@ -846,9 +788,8 @@ def _enumerate_partitions(
         ]
         signatures = np.ascontiguousarray(np.stack(columns, axis=1))
         keep = signatures.any(axis=1)
-        partial: dict[bytes, tuple[tuple[bool, ...], int]] = {}
         if not keep.any():
-            return partial
+            continue
         signatures = signatures[keep]
         flat = flat[keep]
         packed = np.packbits(signatures, axis=1)
@@ -857,25 +798,9 @@ def _enumerate_partitions(
         _, first_rows = np.unique(packed, axis=0, return_index=True)
         for row in first_rows:
             key = packed[row].tobytes()
-            signature = tuple(bool(v) for v in signatures[row])
-            partial[key] = (signature, int(flat[row]))
-        return partial
-
-    ranges = [
-        (start, min(start + chunk_cells, n_cells))
-        for start in range(0, n_cells, chunk_cells)
-    ]
-    if executor is not None and len(ranges) > 1:
-        partials = executor.map(chunk_partial, ranges)
-    else:
-        partials = [chunk_partial(bounds) for bounds in ranges]
-
-    found: dict[bytes, tuple[tuple[bool, ...], int]] = {}
-    for partial in partials:
-        for key, (signature, cell_index) in partial.items():
-            known = found.get(key)
-            if known is None or cell_index < known[1]:
-                found[key] = (signature, cell_index)
+            if key not in found:
+                signature = tuple(bool(v) for v in signatures[row])
+                found[key] = (signature, int(flat[row]))
 
     partitions = []
     for signature, cell_index in found.values():

@@ -66,7 +66,7 @@ CRASH_SITES = (
     "engine.explore.after_reserve",
     "engine.explore.after_run",
     "service.explore.admitted",
-    "pool.commit.drain",
+    "pool.commit",
 )
 
 _EPS_TOLERANCE = 1e-9

@@ -97,7 +97,7 @@ FAILPOINT_SITES: tuple[str, ...] = (
     "store.lock.acquire",  # advisory-lock acquisition (stalls)
     # service (repro/service/exploration.py, repro/service/budget.py)
     "service.explore.admitted",  # request admitted, engine not yet entered
-    "pool.commit.drain",  # inside the batched-commit drain, batch popped, pool untouched
+    "pool.commit",  # after the journal commit record, before the pool mutates
 )
 
 _SITE_SET = frozenset(FAILPOINT_SITES)

@@ -5,8 +5,8 @@ The threaded service is blocking by design: ``explore`` runs a mechanism,
 collection window.  A deployment that holds *thousands* of open analyst
 sessions cannot afford a thread per session -- but it doesn't need one:
 sessions are idle almost all the time, and the service's own internals
-(stripe-sharded caches, batched ledger commits) already absorb bursts of
-concurrent requests efficiently.
+(memo caches, request coalescing) already absorb bursts of concurrent
+requests efficiently.
 
 :class:`AsyncExplorationFront` (built by
 :meth:`ExplorationService.serve_async`) therefore keeps every *open session*

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import threading
-from collections import deque
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.accounting import (
@@ -50,38 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BudgetPolicy", "SharedBudgetPool", "SessionLedger"]
 
 _TOLERANCE = 1e-12
-
-#: How many recent commit-batch sizes the pool remembers (observability
-#: only; the full distribution is measured by ``--suite contention``).
-_BATCH_SIZE_WINDOW = 256
-
-#: How long a queued committer waits on its slot before re-checking whether
-#: it should become the drain combiner itself (seconds).  Purely a liveness
-#: backstop -- the normal path is woken by the combiner's ``Event.set``.
-_COMMIT_WAIT_SLICE = 0.05
-
-
-class _CommitSlot:
-    """One queued commit awaiting the drain combiner.
-
-    Producers enqueue a slot on the pool's MPSC queue and block on ``done``;
-    the combiner fills in ``result`` (the merged entry) or ``error`` (the
-    per-slot accounting failure to re-raise in the producer) before setting
-    the event.
-    """
-
-    __slots__ = ("epsilon_upper", "entry", "analyst", "done", "result", "error")
-
-    def __init__(
-        self, epsilon_upper: float, entry: TranscriptEntry, analyst: str
-    ) -> None:
-        self.epsilon_upper = epsilon_upper
-        self.entry = entry
-        self.analyst = analyst
-        self.done = threading.Event()
-        self.result: TranscriptEntry | None = None
-        self.error: BaseException | None = None
-
 
 class BudgetPolicy(enum.Enum):
     """How :class:`repro.service.ExplorationService` splits ``B`` across analysts.
@@ -115,18 +82,6 @@ class SharedBudgetPool:
         self._reserved = 0.0
         self._lock = threading.RLock()
         self._merged = Transcript()
-        #: MPSC commit queue: ``deque.append``/``popleft`` are single
-        #: C-level calls (atomic under the GIL), so producers enqueue
-        #: lock-free; whoever holds ``_commit_drain_lock`` is the combiner
-        #: and drains the whole queue in one short critical section.
-        self._commit_queue: deque[_CommitSlot] = deque()
-        #: Combiner election only -- never held while waiting on anything,
-        #: always acquired *before* the pool lock (canonical order:
-        #: drain lock -> pool lock -> transcript lock).
-        self._commit_drain_lock = threading.Lock()
-        self._commit_batch_sizes: deque[int] = deque(maxlen=_BATCH_SIZE_WINDOW)
-        self._commit_batches = 0
-        self._batched_commits = 0
 
     # -- accessors ----------------------------------------------------------------
 
@@ -200,11 +155,18 @@ class SharedBudgetPool:
         each commit -- the two facts the Theorem 6.2 validity argument needs.
         Committing more than is reserved raises, like :meth:`release`.
         """
+        # Simulated crash/IO fault between the journal's "commit" record
+        # (written by PrivacyLedger.charge) and the pool mutation: recovery
+        # replays this commit exactly; no caller has been acked yet.
+        fail_point("pool.commit")
         with self._lock:
             self._consume_reserved_locked(epsilon_upper, "commit")
             before = self._spent
             self._spent += entry.epsilon_spent
             return self._record_locked(entry, analyst, before)
+
+    #: Kept for ``perfbench/layer_trace.py``, which wraps this name.
+    commit_batched = commit
 
     def _consume_reserved_locked(self, epsilon_upper: float, action: str) -> None:
         """Subtract a reservation, refusing to go below zero (lock held)."""
@@ -214,98 +176,6 @@ class SharedBudgetPool:
                 "is reserved -- a reservation was double-released or never taken"
             )
         self._reserved = max(self._reserved - epsilon_upper, 0.0)
-
-    def commit_batched(
-        self, epsilon_upper: float, entry: TranscriptEntry, analyst: str
-    ) -> TranscriptEntry:
-        """Like :meth:`commit`, but batched through the MPSC drain.
-
-        The caller enqueues a :class:`_CommitSlot` (one atomic ``deque``
-        append -- no lock) and then either becomes the *combiner* by winning
-        the non-blocking drain-lock acquisition, or parks on its slot's
-        event until a combiner processes it.  The combiner drains the whole
-        queue and applies every commit under **one** pool-lock acquisition,
-        so N concurrent commits cost one lock handoff instead of N -- while
-        each individual commit still runs exactly the serial
-        :meth:`commit` logic (consume reservation, add spend, append the
-        merged entry).  Because every admitted query already holds a
-        reservation, the pool invariant ``spent + reserved <= B`` is
-        maintained at every instant regardless of how commits batch, and
-        the merged transcript remains a valid Theorem 6.2 ordering: entries
-        are appended in drain order under one lock hold with consistent
-        prefix sums.
-
-        Per-slot accounting failures (e.g. a double-consumed reservation)
-        are captured on the slot and re-raised here, in the producer, with
-        the same :class:`~repro.core.exceptions.ApexError` contract as
-        :meth:`commit`.
-        """
-        slot = _CommitSlot(float(epsilon_upper), entry, analyst)
-        self._commit_queue.append(slot)
-        while not slot.done.is_set():
-            if self._commit_drain_lock.acquire(blocking=False):
-                try:
-                    self._drain_commits()
-                finally:
-                    self._commit_drain_lock.release()
-                # The drain pops everything queued, including (unless an
-                # earlier combiner already took it) our own slot.
-                continue
-            # Another thread is the combiner; park until it signals us.
-            # The timeout is a liveness backstop: if the combiner died
-            # before draining our slot, we elect ourselves next round.
-            slot.done.wait(_COMMIT_WAIT_SLICE)
-        if slot.error is not None:
-            raise slot.error
-        assert slot.result is not None
-        return slot.result
-
-    def _drain_commits(self) -> None:
-        """Apply every queued commit under one pool-lock hold (combiner only).
-
-        Called with :attr:`_commit_drain_lock` held.  Every popped slot is
-        guaranteed an outcome: if the drain itself dies (e.g. the
-        ``pool.commit.drain`` failpoint fires), the error is assigned to
-        every unprocessed slot and all events are still set, so no producer
-        is left parked forever.
-        """
-        queue = self._commit_queue
-        batch: list[_CommitSlot] = []
-        while True:
-            try:
-                batch.append(queue.popleft())
-            except IndexError:
-                break
-        if not batch:
-            return
-        try:
-            # Simulated crash/IO fault inside the drain: the journal's
-            # "commit" records were already written by each session's
-            # PrivacyLedger.charge, so recovery replays these commits
-            # exactly; no producer has been acked yet.
-            fail_point("pool.commit.drain")
-            with self._lock:
-                for slot in batch:
-                    try:
-                        self._consume_reserved_locked(slot.epsilon_upper, "commit")
-                        before = self._spent
-                        self._spent += slot.entry.epsilon_spent
-                        slot.result = self._record_locked(
-                            slot.entry, slot.analyst, before
-                        )
-                    except ApexError as exc:
-                        slot.error = exc
-        except BaseException as exc:
-            for slot in batch:
-                if slot.result is None and slot.error is None:
-                    slot.error = exc
-            raise
-        finally:
-            self._batched_commits += len(batch)
-            self._commit_batches += 1
-            self._commit_batch_sizes.append(len(batch))
-            for slot in batch:
-                slot.done.set()
 
     def record_denial(self, entry: TranscriptEntry, analyst: str) -> TranscriptEntry:
         """Append a denial to the merged transcript (no budget movement)."""
@@ -338,24 +208,19 @@ class SharedBudgetPool:
         return merged
 
     def stats(self) -> dict[str, Any]:
-        """A consistent snapshot of the pool counters.
+        """A consistent snapshot of the pool counters, read under one lock hold.
 
-        The budget fields are read under one pool-lock hold; the commit
-        drain's observability counters (total batched commits, drains, and
-        the recent batch-size window ``commit_batch_sizes``) are maintained
-        by the combiner and read atomically.
+        ``commit_batch_sizes`` is always empty: commits are not batched, and
+        the key stays only because ``perfbench`` reads it.
         """
         with self._lock:
-            stats: dict[str, Any] = {
+            return {
                 "budget": self._budget,
                 "spent": self._spent,
                 "reserved": self._reserved,
                 "remaining": max(self._budget - self._spent - self._reserved, 0.0),
+                "commit_batch_sizes": [],
             }
-        stats["batched_commits"] = self._batched_commits
-        stats["commit_batches"] = self._commit_batches
-        stats["commit_batch_sizes"] = list(self._commit_batch_sizes)
-        return stats
 
     # -- durability ---------------------------------------------------------------
 
@@ -540,7 +405,7 @@ class SessionLedger(PrivacyLedger):
         epsilon_upper = float(reservation.epsilon_upper)
         entry = super().charge(**kwargs)
         try:
-            self._pool.commit_batched(epsilon_upper, entry, self._analyst)
+            self._pool.commit(epsilon_upper, entry, self._analyst)
         except ApexError as exc:
             # The analyst's share-level charge committed but the pool's
             # mirror did not (its reservation was double-consumed or never

@@ -26,19 +26,12 @@ class Inner:
             pass
 
 
-class Striped:
-    """Striped lock array used correctly: one stripe at a time, plus an
-    MPSC-drain-style combiner whose election lock is only try-acquired."""
+class Combiner:
+    """A combiner whose election lock is only try-acquired."""
 
-    def __init__(self, n: int):
-        locks = [threading.Lock() for _ in range(n)]
-        self._stripe_locks = locks
+    def __init__(self):
         self._drain_lock = threading.Lock()
         self._books = threading.Lock()
-
-    def get(self, i: int):
-        with self._stripe_locks[i]:  # a single stripe: fine
-            pass
 
     def combiner(self):
         if self._drain_lock.acquire(blocking=False):  # trylock: no edge

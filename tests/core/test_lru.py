@@ -22,30 +22,24 @@ class TestLRUCache:
             "size": 1,
         }
 
-    def test_stats_exposes_seqlock_counters(self):
-        cache = LRUCache(4)
+    def test_stats_counts_puts_inserts_and_evictions(self):
+        cache = LRUCache(2)
         cache.put("a", 1)
-        cache.get("a")
-        cache.get("a")
+        cache.put("a", 2)  # an overwrite: a put, not an insert
+        cache.put("b", 3)
+        cache.put("c", 4)  # evicts "a"
+        cache.get("b")
         stats = cache.stats()
-        assert stats["hits"] == stats["optimistic_hits"] + stats["lock_hits"]
-        assert stats["hits"] == 2
-        assert stats["seqlock_retries"] == 0
-        assert stats["puts"] == 1
-        assert stats["evictions"] == 0
-        assert stats["stripes"] == 1
-        assert stats["stripe_migrations"] == 0
+        assert stats == {
+            "hits": 1,
+            "misses": 0,
+            "size": 2,
+            "puts": 4,
+            "inserts": 3,
+            "evictions": 1,
+        }
         # Conservation: every snapshot balances inserts against removals.
         assert stats["inserts"] - stats["evictions"] == stats["size"]
-
-    def test_non_optimistic_mode_counts_hits_as_locked(self):
-        cache = LRUCache(4, optimistic=False)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        stats = cache.stats()
-        assert stats["optimistic_hits"] == 0
-        assert stats["lock_hits"] == 1
-        assert stats["hits"] == 1
 
     def test_eviction_is_least_recently_used(self):
         cache = LRUCache(2)
@@ -74,39 +68,6 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(0)
 
-    def test_striped_cache_spreads_entries_and_aggregates_stats(self):
-        cache = LRUCache(64, stripes=4)
-        assert cache.stripes == 4
-        for i in range(32):
-            cache.put(i, i * 10)
-        for i in range(32):
-            assert cache.get(i) == i * 10
-        stats = cache.stats()
-        assert stats["hits"] == 32
-        assert stats["size"] == 32
-        assert len(cache) == 32
-        assert stats["inserts"] - stats["evictions"] == stats["size"]
-
-    def test_stripe_count_rounds_up_to_power_of_two(self):
-        cache = LRUCache(64, stripes=3)
-        assert cache.stripes == 4
-
-    def test_resize_stripes_migrates_entries(self):
-        cache = LRUCache(64, stripes=1, max_stripes=8)
-        for i in range(16):
-            cache.put(i, i)
-        moved = cache.resize_stripes(4)
-        assert moved == 16
-        assert cache.stripes == 4
-        assert cache.stripe_migrations == 16
-        for i in range(16):
-            assert cache.get(i) == i
-        stats = cache.stats()
-        assert stats["size"] == 16
-        # Migration books drained entries as evictions and re-homes as
-        # puts, so conservation survives the resize.
-        assert stats["inserts"] - stats["evictions"] == stats["size"]
-
     def test_mask_budget_scales_with_rows(self):
         from repro.data.table import (
             MASK_CACHE_BYTE_BUDGET,
@@ -123,3 +84,66 @@ class TestLRUCache:
             MASK_CACHE_MAX_ENTRIES, max(16, MASK_CACHE_BYTE_BUDGET // 500)
         )
         assert len(table.mask_cache) == 1
+
+
+class TestGlobalEvictionOrder:
+    """The shared memos evict the least recently used entry of the whole
+    cache, never the tail of one hash partition of it."""
+
+    def test_matrix_memo_evicts_in_global_lru_order(self, toy_schema):
+        from repro.queries.predicates import Comparison
+        from repro.queries.workload import (
+            Workload,
+            clear_matrix_cache,
+            matrix_cache_stats,
+        )
+
+        def workload(i):
+            return Workload([Comparison("income", "<=", float(i))])
+
+        clear_matrix_cache()
+        try:
+            capacity = 128
+            for i in range(capacity):
+                workload(i).analyze(toy_schema)
+            stats = matrix_cache_stats()
+            assert (stats["size"], stats["evictions"]) == (capacity, 0)
+            workload(0).analyze(toy_schema)  # refresh the oldest entry
+            workload(capacity).analyze(toy_schema)  # one past capacity
+            assert matrix_cache_stats()["evictions"] == 1
+            built = matrix_cache_stats()["built"]
+            workload(0).analyze(toy_schema)  # refreshed: still cached
+            assert matrix_cache_stats()["built"] == built
+            workload(1).analyze(toy_schema)  # the global LRU entry: evicted
+            assert matrix_cache_stats()["built"] == built + 1
+        finally:
+            clear_matrix_cache()
+
+    def test_translator_memo_evicts_in_global_lru_order(self, toy_schema):
+        from repro.core.accuracy import AccuracySpec
+        from repro.core.translator import AccuracyTranslator
+        from repro.mechanisms.laplace import LaplaceMechanism
+        from repro.mechanisms.registry import MechanismRegistry
+        from repro.queries.builders import point_workload
+        from repro.queries.query import WorkloadCountingQuery
+
+        translator = AccuracyTranslator(MechanismRegistry([LaplaceMechanism()]))
+        accuracy = AccuracySpec(alpha=10.0)
+
+        def query(i):
+            return WorkloadCountingQuery(point_workload("income", [float(i)]))
+
+        capacity = AccuracyTranslator.CACHE_MAX_ENTRIES
+        for i in range(capacity):
+            translator.translations(query(i), accuracy, toy_schema)
+        stats = translator.cache_stats
+        assert (stats["size"], stats["evictions"]) == (capacity, 0)
+        translator.translations(query(0), accuracy, toy_schema)  # refresh
+        translator.translations(query(capacity), accuracy, toy_schema)
+        assert translator.cache_stats["evictions"] == 1
+        assert translator.is_cached(query(0), accuracy, toy_schema)
+        assert not translator.is_cached(query(1), accuracy, toy_schema)
+        assert all(
+            translator.is_cached(query(i), accuracy, toy_schema)
+            for i in range(2, capacity + 1)
+        )

@@ -294,3 +294,34 @@ class TestFacadeMetrics:
 
     def test_default_metrics_is_a_singleton(self):
         assert default_metrics() is default_metrics()
+
+
+class TestProcessCounters:
+    def test_default_registry_poll_carries_search_and_matrix_counters(
+        self, toy_schema
+    ):
+        """The WCQ-SM search and matrix-tier counters are registry
+        counters: a poll of the default registry sees them, and the legacy
+        ``search_stats()`` / ``matrix_cache_stats()`` views agree."""
+        from repro.core.accuracy import AccuracySpec
+        from repro.mechanisms.strategy_mechanism import (
+            StrategyMechanism,
+            search_stats,
+        )
+        from repro.queries.builders import point_workload
+        from repro.queries.query import WorkloadCountingQuery
+        from repro.queries.workload import matrix_cache_stats
+
+        query = WorkloadCountingQuery(point_workload("income", [3.0, 5.0, 7.0]))
+        StrategyMechanism(mc_samples=50).translate(
+            query, AccuracySpec(alpha=10.0), toy_schema
+        )
+        snapshot = default_metrics().snapshot()
+        searches = search_stats()
+        assert searches["searches"] >= 1
+        for name, value in searches.items():
+            assert snapshot[f"repro_mechanisms_sm_{name}"] == value
+        matrices = matrix_cache_stats()
+        assert matrices["built"] >= 1
+        for tier in ("built", "revalidated", "disk_hits", "disk_writes"):
+            assert snapshot[f"repro_queries_matrix_{tier}"] == matrices[tier]

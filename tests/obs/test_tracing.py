@@ -184,7 +184,7 @@ class TestCrossThreadPropagation:
         assert by_name["svc.worker"]["parent_id"] == root.span_id
         assert by_name["svc.worker"]["thread_id"] != root.thread_id
 
-    def test_parallel_executor_map_propagates_context(self, tracer):
+    def test_parallel_executor_submit_propagates_context(self, tracer):
         from repro.core.parallel import ParallelExecutor
 
         def work(index):
@@ -195,7 +195,8 @@ class TestCrossThreadPropagation:
         executor = ParallelExecutor(max_workers=2)
         try:
             with root_span("svc.request") as root:
-                assert executor.map(work, [0, 1]) == [0, 1]
+                futures = [executor.submit(work, i) for i in (0, 1)]
+                assert [f.result() for f in futures] == [0, 1]
         finally:
             executor.shutdown()
         (trace,) = tracer.drain()

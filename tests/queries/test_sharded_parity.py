@@ -1,20 +1,16 @@
-"""Sharded/parallel evaluation matches the single-shard reference semantics.
+"""Sharded evaluation matches the single-shard reference semantics.
 
-Parallelism must never change results: shard-parallel predicate masks and
-chunk-parallel domain analysis are required to be bit-identical to the
-row-at-a-time / cell-at-a-time reference implementations in
-:mod:`repro.queries.reference`, including SQL NULL handling and
-inclusive/exclusive interval bounds.
+The shard layout must never change results: predicate masks over
+multi-shard tables and chunked domain analysis are required to be
+bit-identical to the row-at-a-time / cell-at-a-time reference
+implementations in :mod:`repro.queries.reference`, including SQL NULL
+handling and inclusive/exclusive interval bounds.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.parallel import (
-    ParallelExecutor,
-    get_default_executor,
-    set_default_executor,
-)
+from repro.core.parallel import ParallelExecutor
 from repro.data.schema import (
     Attribute,
     CategoricalDomain,
@@ -30,7 +26,6 @@ from repro.queries.predicates import (
     IsNull,
     Not,
     Or,
-    evaluate_sharded,
 )
 from repro.queries.reference import reference_domain_matrix, reference_mask
 from repro.queries.workload import Workload, WorkloadMatrix
@@ -91,22 +86,21 @@ EDGE_PREDICATES = [
 
 
 class TestShardedMaskParity:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_edge_predicates_bit_identical(self, workers):
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_edge_predicates_bit_identical(self, n_shards):
         rng = np.random.default_rng(42)
-        table, flat = sharded_and_flat(rng)
-        with ParallelExecutor(workers) as executor:
-            for predicate in EDGE_PREDICATES:
-                expected = reference_mask(predicate, flat)
-                actual = evaluate_sharded(predicate, table, executor)
-                assert np.array_equal(expected, actual), predicate.describe()
+        table, flat = sharded_and_flat(rng, (100 // n_shards,) * n_shards)
+        assert table.n_shards == n_shards
+        for predicate in EDGE_PREDICATES:
+            expected = reference_mask(predicate, flat)
+            actual = predicate.evaluate(table)
+            assert np.array_equal(expected, actual), predicate.describe()
 
     def test_workload_evaluate_matches_flat_membership(self):
         rng = np.random.default_rng(7)
         table, flat = sharded_and_flat(rng)
         workload = Workload(EDGE_PREDICATES)
-        with ParallelExecutor(3) as executor:
-            sharded = workload.evaluate(table, executor)
+        sharded = workload.evaluate(table)
         assert np.array_equal(sharded, workload.evaluate(flat))
         assert np.array_equal(
             workload.true_answers(table), workload.true_answers(flat)
@@ -116,14 +110,11 @@ class TestShardedMaskParity:
         rng = np.random.default_rng(9)
         table, flat = sharded_and_flat(rng)
         workload = Workload(EDGE_PREDICATES)
-        with ParallelExecutor(2) as executor:
-            workload.evaluate(table, executor)  # warm every shard view
-            extra = random_rows(rng, 30)
-            table.append_rows(extra)
-            grown_flat = Table.from_rows(
-                parity_schema(), flat.to_rows() + extra
-            )
-            sharded = workload.evaluate(table, executor)
+        workload.evaluate(table)  # warm the pre-append masks
+        extra = random_rows(rng, 30)
+        table.append_rows(extra)
+        grown_flat = Table.from_rows(parity_schema(), flat.to_rows() + extra)
+        sharded = workload.evaluate(table)
         expected = np.column_stack(
             [reference_mask(p, grown_flat) for p in workload.predicates]
         )
@@ -131,8 +122,8 @@ class TestShardedMaskParity:
 
     def test_non_row_local_function_predicates_are_not_split(self):
         """An opaque callable may compute cross-row state (here: a mean), so
-        shard-splitting it would silently change the result; it must be
-        evaluated over the whole table."""
+        shard-splitting it would silently change the result; over a
+        multi-shard table it must see the whole table."""
         from repro.queries.predicates import FunctionPredicate
 
         rng = np.random.default_rng(13)
@@ -146,11 +137,10 @@ class TestShardedMaskParity:
             "score > mean(score)", above_global_mean, attributes=("score",)
         )
         expected = predicate.evaluate(flat)
-        with ParallelExecutor(4) as executor:
-            sharded = evaluate_sharded(predicate, table, executor)
-            in_workload = Workload([predicate, Comparison("state", "==", "CA")]).evaluate(
-                table, executor
-            )
+        sharded = predicate.evaluate(table)
+        in_workload = Workload([predicate, Comparison("state", "==", "CA")]).evaluate(
+            table
+        )
         assert np.array_equal(sharded, expected)
         assert np.array_equal(in_workload[:, 0], expected)
 
@@ -193,20 +183,6 @@ class TestShardedMaskParity:
         assert len(again) == n_before + 10
         assert table.cached_mask(predicate) is again
 
-    def test_default_executor_is_picked_up(self):
-        rng = np.random.default_rng(11)
-        table, flat = sharded_and_flat(rng)
-        predicate = Between("score", 20.0, 80.0)
-        executor = ParallelExecutor(2)
-        previous = set_default_executor(executor)
-        try:
-            assert get_default_executor() is executor
-            actual = evaluate_sharded(predicate, table)
-            assert np.array_equal(actual, reference_mask(predicate, flat))
-        finally:
-            set_default_executor(previous)
-            executor.shutdown()
-
 
 class TestParallelDomainAnalysisParity:
     @pytest.mark.parametrize("seed", range(4))
@@ -224,18 +200,15 @@ class TestParallelDomainAnalysisParity:
         expected_matrix, expected_partitions = reference_domain_matrix(
             workload, schema
         )
-        with ParallelExecutor(4) as executor:
-            analysis = WorkloadMatrix.from_domain_analysis(
-                workload, schema, executor=executor
-            )
+        analysis = WorkloadMatrix.from_domain_analysis(workload, schema)
         assert np.array_equal(analysis.matrix, expected_matrix)
         assert [(p.signature, p.description) for p in analysis.partitions] == [
             (p.signature, p.description) for p in expected_partitions
         ]
 
     def test_forced_multi_chunk_parallel_parity(self, monkeypatch):
-        """Tiny chunks + a pool: cross-chunk min-index merge must reproduce
-        the sequential first-occurrence descriptions exactly."""
+        """Tiny chunks: the cross-chunk first-seen merge must reproduce the
+        reference first-occurrence descriptions exactly."""
         import repro.queries.workload as workload_module
 
         from tests.queries.test_vectorized_parity import (
@@ -251,10 +224,7 @@ class TestParallelDomainAnalysisParity:
         expected_matrix, expected_partitions = reference_domain_matrix(
             workload, schema
         )
-        with ParallelExecutor(4) as executor:
-            analysis = WorkloadMatrix.from_domain_analysis(
-                workload, schema, executor=executor
-            )
+        analysis = WorkloadMatrix.from_domain_analysis(workload, schema)
         assert np.array_equal(analysis.matrix, expected_matrix)
         assert [(p.signature, p.description) for p in analysis.partitions] == [
             (p.signature, p.description) for p in expected_partitions
@@ -262,35 +232,12 @@ class TestParallelDomainAnalysisParity:
 
 
 class TestParallelExecutor:
-    def test_map_preserves_order(self):
-        with ParallelExecutor(4) as executor:
-            assert executor.map(lambda x: x * x, range(20)) == [
-                x * x for x in range(20)
-            ]
-
-    def test_single_worker_runs_inline(self):
-        import threading
-
-        with ParallelExecutor(1) as executor:
-            idents = executor.map(lambda _: threading.get_ident(), range(5))
-        assert set(idents) == {threading.get_ident()}
-
-    def test_exceptions_propagate(self):
-        def boom(x):
-            if x == 3:
-                raise ValueError("boom")
-            return x
-
-        with ParallelExecutor(4) as executor:
-            with pytest.raises(ValueError, match="boom"):
-                executor.map(boom, range(8))
-
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ParallelExecutor(0)
 
     def test_shutdown_is_idempotent(self):
         executor = ParallelExecutor(2)
-        executor.map(lambda x: x, range(4))
+        assert executor.submit(lambda x: x, 4).result() == 4
         executor.shutdown()
         executor.shutdown()

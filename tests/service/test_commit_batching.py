@@ -1,10 +1,11 @@
-"""Batched ledger commits: equivalence with the serial two-phase protocol.
+"""Concurrent ledger commits: equivalence with the serial two-phase protocol.
 
-The MPSC drain (:meth:`SharedBudgetPool.commit_batched`) must be
-*observationally equivalent* to the serial :meth:`SharedBudgetPool.commit`:
-same final spend, a merged transcript that is a valid Theorem 6.2 ordering,
-the invariant ``spent + reserved <= B`` at every instant, and the same
-error contract.  The epsilon values used by the stress tests are exact
+Commits from many analyst threads through :meth:`SessionLedger.charge`
+must be *observationally equivalent* to one thread calling
+:meth:`SharedBudgetPool.commit` serially: same final spend, a merged
+transcript that is a valid Theorem 6.2 ordering, the invariant
+``spent + reserved <= B`` at every instant, and the same error contract.
+The epsilon values used by the stress tests are exact
 binary fractions (multiples of ``2**-20``), so sums are associative and
 "equals the serial result" means bit-equality, not approximate equality.
 """
@@ -62,14 +63,14 @@ def mixed_schedule(analyst_index, n_ops):
 
 class TestBatchedSerialEquivalence:
     def test_8x48_stress_matches_serial_spend_and_stays_valid(self):
-        """8 analyst threads x 48 mixed charges, batched, against one pool:
+        """8 analyst threads x 48 mixed charges, concurrent, against one pool:
         final spend must equal the serial two-phase run of the same ops,
         bit for bit, and the merged transcript must pass Theorem 6.2."""
         n_analysts, n_ops = 8, 48
         budget = 10_000 * UNIT * n_analysts  # ample: every op admits
 
         # Serial reference: identical ops, share-level charge plus the
-        # *unbatched* pool.commit, one analyst at a time on this thread.
+        # pool.commit, one analyst at a time on this thread.
         serial_pool = SharedBudgetPool(budget)
         for a in range(n_analysts):
             ledger = SessionLedger(serial_pool, budget, f"a{a}")
@@ -79,7 +80,7 @@ class TestBatchedSerialEquivalence:
                 entry = share_level_charge(ledger, upper, spent, name, reservation)
                 serial_pool.commit(upper, entry, ledger.analyst)
 
-        # Concurrent batched run.
+        # Concurrent run.
         pool = SharedBudgetPool(budget)
         ledgers = [SessionLedger(pool, budget, f"a{a}") for a in range(n_analysts)]
         barrier = threading.Barrier(n_analysts)
@@ -112,54 +113,10 @@ class TestBatchedSerialEquivalence:
         pool.assert_invariants()
         for ledger in ledgers:
             ledger.assert_invariants()
-        stats = pool.stats()
-        assert stats["batched_commits"] == n_analysts * n_ops
-        assert stats["commit_batches"] >= 1
-        assert sum(stats["commit_batch_sizes"]) <= stats["batched_commits"]
-
-    def test_contended_batches_coalesce(self):
-        """A stalled combiner must be followed by one drain that carries
-        every queued commit (otherwise the batching path degenerated to
-        serial without telling anyone).
-
-        On a single-core box each producer usually wins the drain lock for
-        its own slot, so coalescing is forced deterministically: the test
-        holds the drain lock while 8 analysts enqueue, then releases it --
-        the next combiner must take the whole backlog in one batch.
-        """
-        pool = SharedBudgetPool(1_000_000 * UNIT)
-        ledgers = [SessionLedger(pool, pool.budget, f"a{a}") for a in range(8)]
-
-        pool._commit_drain_lock.acquire()  # stall the combiner role
-        try:
-            threads = [
-                threading.Thread(
-                    target=charge_once,
-                    args=(ledgers[a], 4 * UNIT, 2 * UNIT, f"q{a}"),
-                )
-                for a in range(8)
-            ]
-            for t in threads:
-                t.start()
-            deadline = threading.Event()
-            for _ in range(200):  # wait for all 8 slots to queue up
-                if len(pool._commit_queue) == 8:
-                    break
-                deadline.wait(0.01)
-            assert len(pool._commit_queue) == 8
-        finally:
-            pool._commit_drain_lock.release()
-        for t in threads:
-            t.join()
-        sizes = pool.stats()["commit_batch_sizes"]
-        assert sizes and max(sizes) == 8
-        assert pool.stats()["batched_commits"] == 8
-        assert pool.spent == 8 * 2 * UNIT
-        assert pool.merged_transcript.is_valid(pool.budget)
 
     def test_never_jointly_overspends_under_budget_pressure(self):
         """A tight budget admits only some of the concurrent demand; no
-        interleaving of batched commits may push spend past B."""
+        interleaving of concurrent commits may push spend past B."""
         budget = 64 * UNIT
         pool = SharedBudgetPool(budget)
         ledgers = [SessionLedger(pool, budget, f"a{a}") for a in range(8)]
@@ -184,41 +141,35 @@ class TestBatchedSerialEquivalence:
         pool.assert_invariants()
 
 
-class TestDrainFailpoint:
-    def test_failpoint_fires_inside_drain_and_wakes_all_waiters(self):
-        """An injected fault inside the drain must propagate to the
-        committing analysts -- never leave one parked on its slot."""
+class TestCommitFailpoint:
+    def test_failpoint_fires_before_the_pool_mutates(self):
+        """An injected fault in the pool commit propagates to the
+        committing analyst and leaves the pool's books untouched."""
         pool = SharedBudgetPool(1.0)
         ledger = SessionLedger(pool, 1.0, "a0")
-        faults.arm("pool.commit.drain", "error", count=1)
-        # The share-level charge lands but the pool mirror dies in the
-        # drain, so the session ledger raises its loudest error with the
-        # injected fault as the cause (same contract as a serial-commit
-        # failure).
+        faults.arm("pool.commit", "error", count=1)
+        # The share-level charge lands but the pool mirror dies, so the
+        # session ledger raises its loudest error with the injected fault
+        # as the cause.
         with pytest.raises(LedgerInvariantError) as excinfo:
             charge_once(ledger, 0.25, 0.25, "doomed")
         assert isinstance(excinfo.value.__cause__, FaultInjected)
-        # The drain died before touching the pool: nothing spent, the
-        # pool-side reservation still parked.
         assert pool.spent == 0.0
         assert pool.reserved == pytest.approx(0.25)
         pool.release(0.25)  # reclaim the orphaned pool-side reservation
-        # The queue drained cleanly despite the fault: the next commit
-        # goes through without a wedged slot in front of it.
         entry = charge_once(ledger, 0.25, 0.25, "after")
         assert entry is not None
         assert pool.spent == pytest.approx(0.25)
 
     def test_share_and_pool_disagreement_is_loud(self):
-        """A pool-level ApexError inside the drain surfaces through the
-        session ledger as LedgerInvariantError (same contract as the
-        serial commit path)."""
+        """A pool-level ApexError inside the commit surfaces through the
+        session ledger as LedgerInvariantError."""
         pool = SharedBudgetPool(1.0)
         ledger = SessionLedger(pool, 1.0, "a0")
         reservation = ledger.reserve(0.5)
         assert reservation is not None
         # Sabotage: consume the pool-side reservation behind the ledger's
-        # back, so the drain's commit must fail with ApexError.
+        # back, so the pool commit must fail with ApexError.
         pool.release(0.5)
         with pytest.raises(LedgerInvariantError, match="pool commit failed"):
             ledger.charge(
@@ -240,9 +191,8 @@ def share_level_charge(ledger, upper, spent, name, reservation):
     """The share-level half of a charge, bypassing the pool mirror.
 
     Keeps the serial reference honest: the per-analyst books are updated
-    by the same code as the batched run, and only the pool commit path
-    (serial ``commit`` vs batched ``commit_batched``) differs between the
-    two runs.
+    by the same code as the concurrent run, and only the threading of the
+    pool commits differs between the two runs.
     """
     from repro.core.accounting import PrivacyLedger
 

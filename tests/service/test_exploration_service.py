@@ -209,8 +209,6 @@ class TestObservability:
             "spent",
             "reserved",
             "remaining",
-            "batched_commits",
-            "commit_batches",
             "commit_batch_sizes",
         }
         assert set(stats["batching"]) == {
