@@ -30,7 +30,8 @@ Public surface:
 * mechanisms -- the paper's suite, plus :func:`default_registry`
 * data substrates -- synthetic Adult / NYTaxi / citation-pair generators
 * entity resolution case study -- :mod:`repro.er`
-* benchmark harness -- :mod:`repro.bench`
+* paper-figure benchmark harness -- :mod:`repro.bench` (the end-to-end
+  performance benchmark is ``perfbench/``, outside the package)
 * concurrent multi-analyst service -- :class:`ExplorationService` and
   :class:`BudgetPolicy` (see :mod:`repro.service`; ``python -m repro.service``
   replays a scripted multi-analyst workload)

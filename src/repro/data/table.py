@@ -12,9 +12,7 @@ categorical/text NULLs as ``None``.
 
 Storage is a list of immutable **row shards** (one frozen column-chunk
 :class:`_Shard` per chunk) behind the existing columnar API:
-:meth:`Table.column` lazily concatenates the shard chunks, and
-:meth:`Table.shard_tables` exposes each shard as its own single-shard
-``Table`` view.
+:meth:`Table.column` lazily concatenates the shard chunks.
 
 Tables are *versioned*, not frozen: :meth:`Table.append_rows` adds a new
 shard and :meth:`Table.refresh` replaces the contents wholesale.  Both
@@ -49,12 +47,13 @@ adjacent undersized shards when the table has more than
 :data:`COMPACT_MAX_SHARDS` shards or its smallest shard holds less than
 :data:`COMPACT_MIN_FRACTION` of the rows.  Compaction rewrites the physical
 layout only: row order, contents and the version token are unchanged (so
-every version-keyed cache stays valid), untouched shards keep their warm
-views, and snapshots taken earlier keep their own pinned shard lists.
+every version-keyed cache stays valid), untouched shards keep their
+interned code arrays, and snapshots taken earlier keep their own pinned
+shard lists.
 
 **Shared category dictionary.** Categorical columns are dictionary-encoded
 once per *shard* against a per-table, append-only ``value -> code`` index
-shared by the table, its shard views and its snapshots.  After an append the
+shared by the table and its snapshots.  After an append the
 parent concatenates the per-shard code arrays instead of re-interning the
 whole column; refresh and compaction keep the index (codes are only ever
 added, never renumbered), so a value's code is stable for the table's
@@ -186,20 +185,17 @@ class _Shard:
     ``columns`` maps attribute name to a frozen storage array; ``codes``
     holds per-column ``int32`` dictionary codes interned against the owning
     table's shared category index; ``distinct`` holds per-column frozen
-    distinct-value sets (the shard-local half of the domain fingerprints);
-    ``view`` is the memoised single-shard ``Table`` view used by
-    shard-parallel evaluation.  Shard objects are shared freely between a
-    table, its snapshots and its compacted descendants -- the arrays are
-    read-only, and ``codes``/``distinct``/``view`` only ever gain entries
-    (guarded by the table's intern lock), so sharing can never observe a
-    torn state.
+    distinct-value sets (the shard-local half of the domain fingerprints).
+    Shard objects are shared freely between a table, its snapshots and its
+    compacted descendants -- the arrays are read-only, and
+    ``codes``/``distinct`` only ever gain entries (guarded by the table's
+    intern lock), so sharing can never observe a torn state.
     """
 
     columns: dict[str, np.ndarray]
     n_rows: int
     codes: dict[str, np.ndarray] = field(default_factory=dict)
     distinct: dict[str, frozenset] = field(default_factory=dict)
-    view: "Table | None" = None
 
 
 class Table:
@@ -216,7 +212,7 @@ class Table:
         takes ownership and freezes the arrays (``writeable = False``).
     :param auto_compact: when true (the default), :meth:`append_columns`
         triggers :meth:`compact` whenever the compaction policy fires.
-        Benchmarks disable it to measure fragmented layouts.
+        Disable it to build a deliberately fragmented layout.
     """
 
     def __init__(
@@ -234,8 +230,8 @@ class Table:
         #: Orders mutation (shard append + version advance) and lazy
         #: materialisation; per-version reads stay lock-free.
         self._mutation_lock = threading.RLock()
-        #: Guards shard-level lazy derivation (dictionary interning, view
-        #: construction).  Shared with snapshots and shard views, and
+        #: Guards shard-level lazy derivation (dictionary interning,
+        #: distinct-value sets).  Shared with snapshots, and
         #: deliberately separate from the mutation lock so a reader interning
         #: a large shard never blocks an appender.
         self._intern_lock = threading.RLock()
@@ -318,41 +314,6 @@ class Table:
     def empty(cls, schema: Schema) -> "Table":
         """A table with zero rows."""
         return cls.from_rows(schema, [])
-
-    @classmethod
-    def _view_over_shard(
-        cls,
-        schema: Schema,
-        shard: _Shard,
-        category_index: dict[str, dict[str, int]],
-        intern_lock: threading.RLock,
-    ) -> "Table":
-        """A single-shard view sharing the owning table's shard object.
-
-        The view wraps the *same* :class:`_Shard`, shared category index and
-        intern lock as its owner, so dictionary codes interned through the
-        view are exactly the arrays the owner concatenates (and vice versa).
-        It carries its own identity, version and mask cache.
-        """
-        self = cls.__new__(cls)
-        self._schema = schema
-        self._shards = [shard]
-        self._n_rows = shard.n_rows
-        self._version = TableVersion(next(_TABLE_UIDS), 0)
-        self._mutation_lock = threading.RLock()
-        self._intern_lock = intern_lock
-        self._category_index = category_index
-        self._materialized = dict(shard.columns)
-        self._null_masks = {}
-        self._float_values = {}
-        self._category_codes = {}
-        self._domain_fingerprints = {}
-        self._mask_cache = LRUCache(self._mask_cache_capacity())
-        self._snapshots = OrderedDict()
-        self._snapshot_stats = {"created": 0, "reused": 0, "evicted": 0, "closed": 0}
-        self._closed = False
-        self._auto_compact = False
-        return self
 
     # -- versioning, shards and snapshots -------------------------------------
 
@@ -460,37 +421,6 @@ class Table:
                 **self._snapshot_stats,
             }
 
-    def shard_tables(self) -> tuple["Table", ...]:
-        """Each row shard as its own single-shard table view.
-
-        Views share the owner's schema, its frozen shard arrays (zero-copy)
-        and its category dictionary, but carry their own identity, version
-        and mask cache.  Because shards are immutable, a view built before an
-        append remains valid -- and keeps its warm per-shard caches --
-        afterwards; only new shards need fresh evaluation.  Views are
-        memoised on the shard object, so a table and its snapshots hand out
-        the same (warm) views.
-        """
-        with self._mutation_lock:
-            self._ensure_open()
-            shards = list(self._shards)
-        out: list[Table] = []
-        for shard in shards:
-            view = shard.view
-            if view is None:
-                with self._intern_lock:
-                    view = shard.view
-                    if view is None:
-                        view = Table._view_over_shard(
-                            self._schema,
-                            shard,
-                            self._category_index,
-                            self._intern_lock,
-                        )
-                        shard.view = view
-            out.append(view)
-        return tuple(out)
-
     def append_rows(self, rows: Iterable[Mapping[str, object]]) -> TableVersion:
         """Append rows as a new shard and advance the version token.
 
@@ -565,8 +495,8 @@ class Table:
         Purely a physical-layout rewrite: row order, contents and the
         version token are unchanged, so every cache keyed on the token (or
         on the table's per-version artifacts) remains valid.  Shards large
-        enough to stand alone are kept untouched -- their warm views and
-        interned code arrays are reused as-is -- and merged shards inherit
+        enough to stand alone are kept untouched -- their interned code
+        arrays are reused as-is -- and merged shards inherit
         concatenated code arrays wherever every constituent was already
         interned.  Snapshots taken before the call keep their own pinned
         shard lists.
@@ -606,7 +536,7 @@ class Table:
         for shard in shards:
             if shard.n_rows >= threshold:
                 # Large enough to stand alone: close any open small run and
-                # keep this shard untouched (its view/codes stay warm).
+                # keep this shard untouched (its codes stay warm).
                 if current:
                     groups.append(current)
                     current, current_rows = [], 0

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,11 @@ __all__ = [
 ]
 
 StrategyFactory = Callable[[int], StrategyMatrix]
+
+#: Cap on the binary search's halvings, and the relative bracket width
+#: ``(high - low) / high`` at which it stops early.
+MAX_SEARCH_ITERATIONS = 30
+RELATIVE_TOLERANCE = 0.01
 
 #: Process-wide registry counters of the Monte-Carlo epsilon search,
 #: exported as ``repro_mechanisms_sm_<name>``: ``searches`` counts binary
@@ -104,16 +110,12 @@ class StrategyMechanism(Mechanism):
         strategy_factory: StrategyFactory = hierarchical_strategy,
         *,
         mc_samples: int = 10_000,
-        max_search_iterations: int = 30,
-        relative_tolerance: float = 0.01,
         name: str | None = None,
         seed: int = 20190501,
     ) -> None:
         self.name = name or "WCQ-SM"
         self._strategy_factory = strategy_factory
         self._mc_samples = int(mc_samples)
-        self._max_search_iterations = int(max_search_iterations)
-        self._relative_tolerance = float(relative_tolerance)
         self._seed = seed
         # Keyed by (matrix cache token, alpha, beta): the token identifies the
         # matrix *values* plus the table version it was derived for, so
@@ -163,8 +165,10 @@ class StrategyMechanism(Mechanism):
             self.name,
             getattr(self._strategy_factory, "__name__", repr(self._strategy_factory)),
             self._mc_samples,
-            self._max_search_iterations,
-            float(self._relative_tolerance).hex(),
+            # The search constants stay in the signature so that store
+            # entries written while they were options keep their digests.
+            MAX_SEARCH_ITERATIONS,
+            RELATIVE_TOLERANCE.hex(),
             self._seed,
         )
 
@@ -327,7 +331,7 @@ class StrategyMechanism(Mechanism):
         low = 0.0
         high = upper_bound
         iterations = 0
-        while iterations < self._max_search_iterations:
+        while iterations < MAX_SEARCH_ITERATIONS:
             iterations += 1
             midpoint = (low + high) / 2.0 if low > 0 else high / 2.0
             if midpoint <= 0:
@@ -338,7 +342,7 @@ class StrategyMechanism(Mechanism):
                 high = midpoint
             else:
                 low = midpoint
-            if low > 0 and (high - low) / high < self._relative_tolerance:
+            if low > 0 and (high - low) / high < RELATIVE_TOLERANCE:
                 break
         return high, iterations
 
@@ -360,7 +364,7 @@ class StrategyMechanism(Mechanism):
         failures = int((errors > alpha).sum())
         empirical_beta = failures / n_samples
         confidence = beta / 100.0
-        z_score = _normal_quantile(1.0 - confidence / 2.0)
+        z_score = NormalDist().inv_cdf(1.0 - confidence / 2.0)
         margin = z_score * math.sqrt(
             max(empirical_beta * (1.0 - empirical_beta), 1e-12) / n_samples
         )
@@ -447,34 +451,3 @@ class IcebergStrategyMechanism(Mechanism):
             noisy_counts=noisy_counts,
             metadata={"strategy": translation.strategy.name},
         )
-
-
-def _normal_quantile(probability: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation)."""
-    if not 0.0 < probability < 1.0:
-        raise TranslationError("quantile probability must lie in (0, 1)")
-    # Coefficients for the central and tail regions.
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low = 0.02425
-    if probability < p_low:
-        q = math.sqrt(-2.0 * math.log(probability))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if probability > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - probability))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = probability - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )

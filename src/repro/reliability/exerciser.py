@@ -32,9 +32,9 @@ and each violation is recorded in the returned report:
   replayed script, so snapshot-pinned answers surviving concurrent table
   mutation is covered by the same bit-identity check.
 
-The tests (``tests/reliability/test_exerciser.py``) and the ``--suite
-reliability`` benchmark both drive this module with bounded seed sets; CI
-runs it as a named gate.
+The tests (``tests/reliability/test_exerciser.py``,
+``tests/workloads/test_exerciser_integration.py``) drive this module with
+bounded seed sets; CI runs them as a named gate.
 """
 
 from __future__ import annotations

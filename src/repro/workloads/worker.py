@@ -18,7 +18,7 @@ interpreter** and prints a JSON report to stdout:
   bit-exact determinism property pinned by ``tests/property``.
 
 Keeping both probes importable keeps the restart and determinism scenarios
-identical between the bench suite, CI and the test battery.
+identical everywhere the tests exercise them.
 """
 
 from __future__ import annotations

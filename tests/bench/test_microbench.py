@@ -1,20 +1,11 @@
-"""Tests for the microbenchmark suite and the timed harness plumbing."""
-
-import json
+"""Tests for the synthetic bench inputs and the timed harness plumbing."""
 
 import numpy as np
 import pytest
 
 from repro.bench.harness import RUN_TIMINGS, clear_run_timings, last_run_timings
-from repro.bench.microbench import (
-    bench_domain_analysis,
-    bench_mask_evaluation,
-    bench_schema,
-    bench_translation_cache,
-    build_bench_table,
-    build_bench_workload,
-)
-from repro.bench.reporting import report, write_bench_json
+from repro.bench.reporting import report
+from repro.bench.synthetic import build_bench_table, build_bench_workload
 
 
 @pytest.fixture(scope="module")
@@ -44,36 +35,7 @@ class TestBenchInputs:
         assert first.predicates == second.predicates
 
 
-class TestMicrobenchResults:
-    def test_mask_evaluation_payload(self, tiny_table, tiny_workload):
-        result = bench_mask_evaluation(tiny_table, tiny_workload, repeats=1)
-        assert result["n_rows"] == 800
-        assert result["n_predicates"] == 16
-        assert result["reference_seconds"] > 0
-        assert result["vectorized_cold_seconds"] > 0
-        assert result["speedup_warm"] >= result["speedup_cold"] * 0.5
-
-    def test_domain_analysis_payload(self, tiny_workload):
-        result = bench_domain_analysis(tiny_workload, bench_schema(), repeats=1)
-        assert result["parity"] is True
-        assert result["n_cells"] >= 1000
-        assert result["n_partitions"] > 0
-
-    def test_translation_cache_payload(self, tiny_table):
-        workload = build_bench_workload(8, n_amount_cuts=4)
-        result = bench_translation_cache(tiny_table, workload, mc_samples=200)
-        assert result["translation_cache_hit"] is True
-        assert result["matrix_rebuilt_on_second_call"] is False
-        assert result["matrix_reused"] is True
-        assert result["second_preview_seconds"] <= result["first_preview_seconds"]
-
-
 class TestReportingHelpers:
-    def test_write_bench_json_roundtrip(self, tmp_path):
-        path = tmp_path / "BENCH_test.json"
-        write_bench_json(str(path), {"bench": 1, "speedup": 12.5})
-        assert json.loads(path.read_text()) == {"bench": 1, "speedup": 12.5}
-
     def test_report_prints_summary(self, capsys):
         records = [
             {"group": "a", "value": 1.0},

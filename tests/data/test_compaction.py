@@ -4,7 +4,7 @@ The policy (``COMPACT_MAX_SHARDS`` / ``COMPACT_MIN_FRACTION``) bounds shard
 fragmentation under streaming appends; the contract is that compaction may
 change *only* the physical layout -- row order, contents, the version token,
 and therefore every version-keyed cache, are untouched, and shards large
-enough to stand alone keep their warm views and interned codes by identity.
+enough to stand alone are kept, with their interned codes, by identity.
 """
 
 import numpy as np
@@ -170,14 +170,14 @@ class TestCompactionContract:
         assert after.version_token == before.version_token
         assert predicate.evaluate(after) is mask  # shared LRU stayed warm
 
-    def test_untouched_large_shards_keep_their_views(self):
+    def test_untouched_large_shards_are_kept_whole(self):
         table = self.build_fragmented(auto_compact=False)
-        views_before = table.shard_tables()
-        base_view = views_before[0]  # the 400-row base shard stands alone
+        base_shard = table._shards[0]  # the 400-row base shard stands alone
+        n_shards_before = table.n_shards
         assert table.compact()
-        views_after = table.shard_tables()
-        assert views_after[0] is base_view
-        assert len(views_after) < len(views_before)
+        assert table._shards[0] is base_shard
+        assert table.shard_sizes[0] == 400
+        assert table.n_shards < n_shards_before
 
     def test_merged_shards_inherit_interned_codes(self):
         table = self.build_fragmented(auto_compact=False)

@@ -1,9 +1,9 @@
 """The shared append-only category dictionary and per-shard code interning.
 
 Categorical columns are dictionary-encoded per *shard* against one
-append-only ``value -> code`` index shared by a table, its shard views and
-its snapshots.  The contract: codes are stable for the table's lifetime
-(values are only ever added), a shard is interned at most once, and the
+append-only ``value -> code`` index shared by a table and its snapshots.
+The contract: codes are stable for the table's lifetime (values are only
+ever added), a shard is interned at most once, and the
 parent's per-version code column is a concatenation of per-shard arrays --
 so after an append only the new shard pays the interning loop.
 """
@@ -84,16 +84,13 @@ class TestSharedDictionary:
         assert index_after["NY"] == ny_code  # vanished value keeps its code
         assert ny_code not in codes  # ...and matches no current row
 
-    def test_shard_views_share_the_dictionary_and_code_arrays(self):
+    def test_parent_codes_concatenate_the_per_shard_arrays(self):
         table = Table.from_rows(make_schema(), make_rows(20))
         table.append_rows(make_rows(10, states=("TX", "WY")))
-        views = table.shard_tables()
-        view_codes, view_index = views[1].category_codes("state")
         parent_codes, parent_index = table.category_codes("state")
-        assert view_index is parent_index
-        # The view's array IS the per-shard slice the parent concatenated.
-        assert view_codes is table._shards[1].codes["state"]
-        assert np.array_equal(parent_codes[20:], view_codes)
+        assert np.array_equal(parent_codes[:20], table._shards[0].codes["state"])
+        assert np.array_equal(parent_codes[20:], table._shards[1].codes["state"])
+        assert decode(parent_codes[20:], parent_index) == ["TX", "WY"] * 5
 
     def test_snapshots_share_the_dictionary(self):
         table = Table.from_rows(make_schema(), make_rows(15))

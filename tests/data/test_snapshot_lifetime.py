@@ -77,8 +77,6 @@ class TestClose:
             snap.column("state")
         with pytest.raises(SnapshotError, match="closed"):
             Comparison("state", "==", "CA").evaluate(snap)
-        with pytest.raises(SnapshotError, match="closed"):
-            snap.shard_tables()
 
     def test_owned_snapshot_is_private(self):
         table = make_table()

@@ -112,17 +112,15 @@ class TestAppendRows:
         assert table.n_shards == 1
         assert table.row(0)["state"] == "NY"
 
-    def test_shard_views_are_single_shard_tables_over_the_chunks(self):
+    def test_each_append_adds_one_shard_over_its_chunk(self):
         table = Table.from_rows(make_schema(), base_rows())
         table.append_rows(extra_rows())
-        views = table.shard_tables()
-        assert [len(v) for v in views] == [4, 3]
-        assert all(v.n_shards == 1 for v in views)
-        # Views built before an append stay valid (shards are immutable).
+        assert table.shard_sizes == (4, 3)
+        first_rows = [table.row(i) for i in range(len(table))]
+        # Shards are immutable: an append leaves the earlier ones untouched.
         table.append_rows(extra_rows())
-        new_views = table.shard_tables()
-        assert new_views[0] is views[0]
-        assert len(new_views) == 3
+        assert table.shard_sizes == (4, 3, 3)
+        assert [table.row(i) for i in range(7)] == first_rows
 
     def test_count_and_filter_track_grown_rows(self):
         table = Table.from_rows(make_schema(), base_rows())

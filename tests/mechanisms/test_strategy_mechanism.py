@@ -86,6 +86,20 @@ class TestTranslate:
         assert not translation.is_data_dependent
 
 
+    def test_cache_signature_is_stable_for_stored_searches(self):
+        """Artifact-store digests include the signature: it must keep the
+        values written when the search cap and tolerance were options."""
+        signature = StrategyMechanism(mc_samples=500, seed=7).cache_signature()
+        assert signature == (
+            "StrategyMechanism",
+            "WCQ-SM",
+            "hierarchical_strategy",
+            500,
+            30,
+            (0.01).hex(),
+            7,
+        )
+
 class TestRun:
     def test_returns_noisy_counts(self, strategy_mechanism, adult_small, prefix_query, rng):
         accuracy = AccuracySpec(alpha=0.05 * len(adult_small))

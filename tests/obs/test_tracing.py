@@ -315,6 +315,8 @@ class TestServiceSpans:
         names = {s["name"] for s in trace}
         assert {
             "service.explore",
+            "service.admission",
+            "service.snapshot_pin",
             "engine.explore",
             "engine.translate",
             "engine.reserve",
@@ -323,3 +325,55 @@ class TestServiceSpans:
         } <= names
         translate = next(s for s in trace if s["name"] == "engine.translate")
         assert translate["attributes"]["cache_tier"] == "exact"
+
+    def test_cache_tier_labels_match_the_translator_counters(self, tracer):
+        """Every translation tier a span reports is one the translator
+        counted, and vice versa: label tallies equal counter deltas."""
+        from repro.core.accuracy import AccuracySpec
+        from repro.mechanisms.registry import default_registry
+        from repro.queries.builders import histogram_workload
+        from repro.queries.query import WorkloadCountingQuery
+        from repro.service import ExplorationService
+        from tests.service.util import small_table
+
+        table = small_table(256)
+        service = ExplorationService(
+            table,
+            budget=10.0,
+            registry=default_registry(mc_samples=50),
+            seed=0,
+            batch_window=0.0,
+        )
+        service.register_analyst("a-0")
+        query = WorkloadCountingQuery(
+            histogram_workload("amount", start=0, stop=10_000, bins=4),
+            name="tier-q",
+        )
+        accuracy = AccuracySpec(alpha=8.0, beta=1e-3)
+        counters = {
+            "exact": "hits",
+            "revalidated": "revalidated",
+            "disk": "disk_hits",
+            "built": "built",
+        }
+        before = dict(service.stats()["translations"])
+        service.preview_cost("a-0", query, accuracy)  # built
+        service.preview_cost("a-0", query, accuracy)  # exact
+        # ``amount`` is numeric: appending rows keeps its domain, so the
+        # next preview re-tags the cached translation.
+        service.append_rows("default", [table.row(i) for i in range(8)])
+        service.preview_cost("a-0", query, accuracy)  # revalidated
+        after = dict(service.stats()["translations"])
+
+        labels = {tier: 0 for tier in counters}
+        for trace in tracer.drain():
+            for s in trace:
+                tier = s["attributes"].get("cache_tier")
+                if tier is not None:
+                    labels[tier] += 1
+        deltas = {
+            tier: int(after[name]) - int(before[name])
+            for tier, name in counters.items()
+        }
+        assert labels == deltas
+        assert labels == {"exact": 1, "revalidated": 1, "disk": 0, "built": 1}

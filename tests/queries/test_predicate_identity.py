@@ -211,3 +211,57 @@ class TestNamedDiskTier:
         assert warm_stats["translations"]["disk_hits"] == 1
         assert search_stats()["searches"] == searches_before
         assert warm_costs == cold_costs
+
+    def test_named_screens_warm_start_a_fresh_process(self, tmp_path):
+        """The restart scenario across interpreters: a fresh process
+        re-creates the named predicates from their declared identities and
+        answers from the disk tier, bit-identically, with zero rebuilds."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.workloads import GeneratorConfig
+        from repro.workloads.worker import run_named_warm_start
+
+        clear_matrix_cache()
+        reset_search_stats()
+        config = GeneratorConfig(
+            seed=17, initial_rows=1_500, periods=1, rows_per_period=1
+        )
+        cold = run_named_warm_start(
+            str(tmp_path), config, n_screens=4, mc_samples=100
+        )
+        assert cold["translation_builds"] == 1
+
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.workloads.worker",
+                "--probe",
+                "warm-start",
+                "--store",
+                str(tmp_path),
+                "--config-json",
+                json.dumps(config.to_json()),
+                "--screens",
+                "4",
+                "--mc-samples",
+                "100",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warm = json.loads(proc.stdout)
+        assert warm["translation_builds"] == 0
+        assert warm["mc_searches"] == 0
+        assert warm["translation_disk_hits"] == 1
+        assert warm["costs"] == cold["costs"]

@@ -156,6 +156,45 @@ class TestAdoptRecovery:
         pool.assert_invariants()
 
 
+    def test_long_journal_replays_spend_exactly(self, tmp_path):
+        """Hundreds of committed queries plus unresolved reservations:
+        replay sums the committed spend and the in-flight surcharge in
+        journal order, so both match the writer's own sums bit for bit."""
+        import random
+
+        rng = random.Random(5)
+        path = str(tmp_path / "long.wal")
+        committed = inflight = 0.0
+        with LedgerJournal(path, sync=False) as writer:
+            for i in range(200):
+                upper = rng.uniform(0.001, 0.003)
+                spent = rng.uniform(0.0005, upper)
+                rid = writer.append("reserve", eps_upper=upper, query=f"q{i}", kind="wcq")
+                writer.append(
+                    "commit",
+                    rid=rid,
+                    eps_upper=upper,
+                    eps_spent=spent,
+                    query=f"q{i}",
+                    kind="wcq",
+                    mechanism="LM",
+                )
+                committed += spent
+            for i in range(8):
+                upper = rng.uniform(0.001, 0.003)
+                writer.append("reserve", eps_upper=upper, query=f"open{i}", kind="wcq")
+                inflight += upper
+        with LedgerJournal(path) as reopened:
+            recovery = reopened.recovery
+        assert recovery.committed_epsilon == committed
+        assert recovery.inflight_epsilon == inflight
+        budget = 2.0 * recovery.spent
+        pool = SharedBudgetPool(budget)
+        assert pool.adopt_recovery(recovery) == 208
+        assert pool.merged_transcript.is_valid(budget)
+        pool.assert_invariants()
+
+
 class TestInvariants:
     def test_clean_ledger_passes(self):
         ledger = PrivacyLedger(1.0)

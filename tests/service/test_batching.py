@@ -265,3 +265,61 @@ class TestAdaptiveLinger:
         assert stats["batcher"]["window_seconds"] == pytest.approx(0.01)
         assert stats["batcher"]["linger_seconds"] == pytest.approx(0.01)
         assert stats["batcher"]["interarrival_samples"] == 0.0
+
+
+class TestServiceCoalescing:
+    def test_identical_cold_previews_build_the_matrix_once(self):
+        """N analysts asking one structurally identical cold preview at once
+        share one flight: one matrix build, one answer for all."""
+        from repro.bench.synthetic import build_bench_table, build_bench_workload
+        from repro.core.accuracy import AccuracySpec
+        from repro.mechanisms.registry import default_registry
+        from repro.queries.query import WorkloadCountingQuery
+        from repro.queries.workload import (
+            Workload,
+            clear_matrix_cache,
+            matrix_cache_stats,
+        )
+        from repro.service import ExplorationService
+
+        n_threads = 8
+        table = build_bench_table(2_000, seed=7)
+        workload = build_bench_workload(16, n_amount_cuts=6)
+        accuracy = AccuracySpec(alpha=0.05 * len(table), beta=5e-4)
+        clear_matrix_cache()
+        # A generous window: a thread that arrives after the leader finished
+        # still joins the lingering flight instead of recomputing.
+        service = ExplorationService(
+            table,
+            budget=10.0,
+            registry=default_registry(mc_samples=200),
+            seed=5,
+            batch_window=2.0,
+        )
+        for i in range(n_threads):
+            service.register_analyst(f"a-{i}")
+        barrier = threading.Barrier(n_threads)
+        previews = [None] * n_threads
+
+        def ask(i):
+            # Structurally equal but distinct objects, as independent
+            # analysts would send them.
+            query = WorkloadCountingQuery(
+                Workload(list(workload.predicates), list(workload.names)),
+                name="batch-wcq",
+            )
+            barrier.wait()
+            previews[i] = service.preview_cost(f"a-{i}", query, accuracy)
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        assert previews[0] is not None
+        assert all(p == previews[0] for p in previews)
+        assert matrix_cache_stats()["built"] == 1
+        stats = service.stats()["batching"]
+        assert stats["computed"] == 1
+        assert stats["coalesced"] == n_threads - 1

@@ -45,6 +45,63 @@ def run_threads(worker, n_threads=N_THREADS):
     assert errors == []
 
 
+def run_budget_stress(table, policy=BudgetPolicy.FIRST_COME, **service_kwargs):
+    """N threads race mixed preview/explore into a budget of ~5.5 explores.
+
+    Asserts the two safety halves: total charged epsilon within ``B`` and a
+    Theorem 6.2-valid merged transcript, with every denial free.
+    """
+    # Size B so only a fraction of the explores can be admitted: the
+    # threads must race each other into denials without overspending.
+    scratch = ExplorationService(
+        table, budget=1e9, registry=default_registry(mc_samples=200), seed=0
+    )
+    scratch.register_analyst("probe")
+    query = WorkloadCountingQuery(
+        histogram_workload("amount", start=0, stop=10_000, bins=8), name="hist"
+    )
+    unit = min(up for _, up in scratch.preview_cost("probe", query, ACC).values())
+    budget = 5.5 * unit
+
+    service = ExplorationService(
+        table,
+        budget=budget,
+        policy=policy,
+        registry=default_registry(mc_samples=200),
+        seed=1,
+        batch_window=0.0,
+        **service_kwargs,
+    )
+    for i in range(N_THREADS):
+        service.register_analyst(f"t{i}")
+
+    def worker(i):
+        query_i = WorkloadCountingQuery(
+            histogram_workload(
+                "amount", start=0, stop=10_000, bins=8 + 2 * (i % 3)
+            ),
+            name=f"hist-{i}",
+        )
+        for _ in range(3):
+            service.preview_cost(f"t{i}", query_i, ACC)
+            service.explore(f"t{i}", query_i, ACC)
+
+    run_threads(worker)
+
+    merged = service.merged_transcript()
+    spent = merged.total_epsilon()
+    assert spent <= budget + 1e-9
+    assert service.budget_spent == pytest.approx(spent)
+    assert service.pool.reserved == pytest.approx(0.0)
+    # 24 explores were attempted against ~5.5 affordable units: some must
+    # have been denied, and every denial costs nothing.
+    assert len(merged.denied()) > 0
+    assert all(e.epsilon_spent == 0 for e in merged.denied())
+    # Theorem 6.2 over the merged, cross-analyst transcript.
+    assert merged.is_valid(budget)
+    assert service.validate()
+
+
 @pytest.fixture(scope="module")
 def table():
     return small_table(2_000)
@@ -56,55 +113,28 @@ class TestConcurrentBudgetSafety:
         [(BudgetPolicy.FIRST_COME, None), (BudgetPolicy.FIXED_SHARE, N_THREADS)],
     )
     def test_total_epsilon_never_exceeds_budget(self, table, policy, max_analysts):
-        # Size B so only a fraction of the explores can be admitted: the
-        # threads must race each other into denials without overspending.
-        scratch = ExplorationService(
-            table, budget=1e9, registry=default_registry(mc_samples=200), seed=0
-        )
-        scratch.register_analyst("probe")
-        query = WorkloadCountingQuery(
-            histogram_workload("amount", start=0, stop=10_000, bins=8), name="hist"
-        )
-        unit = min(up for _, up in scratch.preview_cost("probe", query, ACC).values())
-        budget = 5.5 * unit
+        run_budget_stress(table, policy=policy, max_analysts=max_analysts)
 
-        service = ExplorationService(
-            table,
-            budget=budget,
-            policy=policy,
-            max_analysts=max_analysts,
-            registry=default_registry(mc_samples=200),
-            seed=1,
-            batch_window=0.0,
-        )
-        for i in range(N_THREADS):
-            service.register_analyst(f"t{i}")
+    def test_write_ahead_journal_changes_no_safety_answer(self, table, tmp_path):
+        from repro.reliability.journal import LedgerJournal
 
-        def worker(i):
-            query_i = WorkloadCountingQuery(
-                histogram_workload(
-                    "amount", start=0, stop=10_000, bins=8 + 2 * (i % 3)
-                ),
-                name=f"hist-{i}",
-            )
-            for _ in range(3):
-                service.preview_cost(f"t{i}", query_i, ACC)
-                service.explore(f"t{i}", query_i, ACC)
+        journal = LedgerJournal(str(tmp_path / "ledger.wal"))
+        try:
+            run_budget_stress(table, journal=journal)
+            assert journal.stats()["appended_records"] > 0
+        finally:
+            journal.close()
 
-        run_threads(worker)
+    def test_full_tracing_changes_no_safety_answer(self, table):
+        from repro.obs.tracing import Tracer, install_tracer
 
-        merged = service.merged_transcript()
-        spent = merged.total_epsilon()
-        assert spent <= budget + 1e-9
-        assert service.budget_spent == pytest.approx(spent)
-        assert service.pool.reserved == pytest.approx(0.0)
-        # 24 explores were attempted against ~5.5 affordable units: some must
-        # have been denied, and every denial costs nothing.
-        assert len(merged.denied()) > 0
-        assert all(e.epsilon_spent == 0 for e in merged.denied())
-        # Theorem 6.2 over the merged, cross-analyst transcript.
-        assert merged.is_valid(budget)
-        assert service.validate()
+        tracer = Tracer(1.0, keep_traces=64, seed=0)
+        previous = install_tracer(tracer)
+        try:
+            run_budget_stress(table)
+        finally:
+            install_tracer(previous)
+        assert tracer.drain(), "the traced run kept no traces"
 
     def test_concurrent_explores_for_one_analyst_serialize(self, table):
         """Same-analyst requests must not race on the engine's noise RNG."""

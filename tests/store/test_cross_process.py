@@ -14,7 +14,7 @@ import subprocess
 import sys
 
 import repro
-from repro.bench.microbench import build_bench_table, build_bench_workload
+from repro.bench.synthetic import build_bench_table, build_bench_workload
 from repro.core.accuracy import AccuracySpec
 from repro.core.engine import APExEngine
 from repro.mechanisms.registry import default_registry
