@@ -49,6 +49,7 @@ from repro.data.table import DomainStamp
 from repro.mechanisms.base import Mechanism, TranslationResult
 from repro.mechanisms.registry import MechanismRegistry, default_registry
 from repro.obs import tracing
+from repro.obs.registry import Counter
 from repro.queries.query import Query
 from repro.store.fingerprint import stable_digest
 
@@ -101,11 +102,12 @@ class AccuracyTranslator:
         self._domain_cache: LRUCache[
             list[tuple[Mechanism, TranslationResult]]
         ] = LRUCache(self.CACHE_MAX_ENTRIES)
+        #: Tier counters; one translator serves every concurrent session,
+        #: so they are lock-protected registry counters, owned (not
+        #: registered) by this instance.
         self._tier_stats = {
-            "built": 0,
-            "revalidated": 0,
-            "disk_hits": 0,
-            "disk_writes": 0,
+            tier: Counter()
+            for tier in ("built", "revalidated", "disk_hits", "disk_writes")
         }
 
     @property
@@ -125,13 +127,14 @@ class AccuracyTranslator:
         domain-fingerprint tier, ``disk_hits``/``disk_writes`` the artifact
         store, and ``built`` the translation lists actually computed.
         """
-        return {**self._translation_cache.stats(), **self._tier_stats}
+        tiers = {tier: int(c.value()) for tier, c in self._tier_stats.items()}
+        return {**self._translation_cache.stats(), **tiers}
 
     def clear_cache(self) -> None:
         self._translation_cache.clear()
         self._domain_cache.clear()
-        for key in self._tier_stats:
-            self._tier_stats[key] = 0
+        for counter in self._tier_stats.values():
+            counter.reset()
 
     def is_cached(
         self,
@@ -206,7 +209,7 @@ class AccuracyTranslator:
                 domain_cache_key = (domain_query_key, accuracy.alpha, accuracy.beta)
                 cached = self._domain_cache.get(domain_cache_key)
                 if cached is not None:
-                    self._tier_stats["revalidated"] += 1
+                    self._tier_stats["revalidated"].inc()
                     tracing.annotate("cache_tier", "revalidated")
                     self._translation_cache.put(cache_key, list(cached))
                     return list(cached)
@@ -224,7 +227,7 @@ class AccuracyTranslator:
                 store.load("translation", store_digest), applicable  # type: ignore[union-attr]
             )
             if loaded is not None:
-                self._tier_stats["disk_hits"] += 1
+                self._tier_stats["disk_hits"].inc()
                 tracing.annotate("cache_tier", "disk")
                 self._translation_cache.put(cache_key, list(loaded))
                 if domain_cache_key is not None:
@@ -246,7 +249,7 @@ class AccuracyTranslator:
                 f"no mechanism could translate the accuracy requirement {accuracy} "
                 f"for query {query.name!r}"
             )
-        self._tier_stats["built"] += 1
+        self._tier_stats["built"].inc()
         tracing.annotate("cache_tier", "built")
         if cache_key is not None:
             self._translation_cache.put(cache_key, list(out))
@@ -255,7 +258,7 @@ class AccuracyTranslator:
         if store_digest is not None:
             payload = [(mechanism.name, result) for mechanism, result in out]
             if store.save("translation", store_digest, payload):  # type: ignore[union-attr]
-                self._tier_stats["disk_writes"] += 1
+                self._tier_stats["disk_writes"].inc()
         return out
 
     def _store_digest(

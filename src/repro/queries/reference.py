@@ -3,7 +3,8 @@
 The predicate and domain-analysis engines were rewritten to be array-native
 (interned category codes, broadcast cell evaluation, packed-signature dedupe).
 This module preserves the original row-at-a-time / cell-at-a-time
-implementations **unchanged in semantics** as the baseline of the parity
+implementations **unchanged in semantics** (and the seed's
+signature-tuple histogram assignment) as the baseline of the parity
 tests (``tests/queries/test_vectorized_parity.py``,
 ``tests/queries/test_sharded_parity.py``): the vectorized paths must
 produce bit-identical masks and workload matrices on randomized tables,
@@ -41,6 +42,7 @@ from repro.queries.predicates import (
 from repro.queries.workload import (
     DomainPartition,
     Workload,
+    WorkloadMatrix,
     _attribute_atoms,
     _describe_cell,
     _signatures_to_matrix,
@@ -51,6 +53,7 @@ __all__ = [
     "reference_null_mask",
     "reference_domain_partitions",
     "reference_domain_matrix",
+    "reference_partition_histogram",
 ]
 
 
@@ -163,3 +166,39 @@ def reference_domain_matrix(
     """The seed's exact workload matrix: ``(matrix, partitions)``."""
     partitions = reference_domain_partitions(workload, schema)
     return _signatures_to_matrix(workload.size, partitions), partitions
+
+
+def reference_partition_histogram(
+    matrix: WorkloadMatrix, table: Table
+) -> np.ndarray:
+    """The seed's histogram ``x``: each row's signature tuple, one row at a time.
+
+    Masks come from :func:`reference_mask`; every row's signature tuple is
+    looked up in a ``{signature: column}`` map of ``matrix.partitions``.
+    Rows matching no predicate are ignored; an unknown signature raises
+    :class:`QueryError` for an exact matrix and is spread into the unit
+    partition of each matching predicate for a structural one.
+    """
+    table = table.snapshot()
+    columns = [reference_mask(pred, table) for pred in matrix.workload.predicates]
+    index_of_signature = {
+        partition.signature: j for j, partition in enumerate(matrix.partitions)
+    }
+    histogram = np.zeros(matrix.n_partitions, dtype=float)
+    for row in range(len(table)):
+        signature = tuple(bool(column[row]) for column in columns)
+        if not any(signature):
+            continue
+        j = index_of_signature.get(signature)
+        if j is not None:
+            histogram[j] += 1
+        elif matrix.exact:
+            raise QueryError(
+                "a row matched a predicate signature that the exact domain "
+                f"analysis did not enumerate: signature={signature}"
+            )
+        else:
+            for i, flag in enumerate(signature):
+                if flag:
+                    histogram[i] += 1
+    return histogram

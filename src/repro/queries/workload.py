@@ -19,9 +19,15 @@ Two analysis paths are provided:
   The enumeration is fully vectorized: each atomic condition is evaluated once
   per atom of its attribute (a tiny boolean vector), the predicate AST is then
   combined over chunks of the cell cross-product by numpy broadcasting /
-  fancy indexing, and partitions are deduplicated with ``np.unique`` over
-  bit-packed signature rows.  No per-cell Python loop remains, which is what
-  allows :data:`MAX_DOMAIN_CELLS` to sit in the millions.
+  fancy indexing, and partitions are deduplicated by packed signature keys:
+  each boolean signature row is bit-packed into one fixed-width scalar
+  (``uint64`` up to 64 predicates, a ``np.void`` of ``ceil(L / 8)`` bytes
+  beyond) and the keys go through a 1-D ``np.unique``.  No per-cell Python
+  loop remains, which is what allows :data:`MAX_DOMAIN_CELLS` to sit in the
+  millions.  The data histogram ``x`` (:meth:`WorkloadMatrix.partition_histogram`)
+  assigns table rows to partitions with the same packed keys, so building
+  it costs a pack and an integer sort per row rather than a sort of
+  ``L``-field records.
 * **structural analysis** -- fallback for workloads containing opaque
   predicates (e.g. string-similarity predicates in the entity-resolution case
   study).  The matrix is the identity over predicates and the sensitivity is
@@ -532,8 +538,8 @@ class WorkloadMatrix:
         Each atomic condition is evaluated once per atom of its attribute,
         then the predicate ASTs are combined over the cell cross-product by
         indexing those per-attribute vectors with broadcast cell coordinates;
-        signatures are deduplicated chunk by chunk with bit packing and
-        ``np.unique``.  Semantics (including which cell describes each partition: the first
+        signatures are deduplicated chunk by chunk by their packed keys.
+        Semantics (including which cell describes each partition: the first
         one in cross-product order) match the original per-cell enumeration.
 
         ``version`` stamps the matrix's :attr:`cache_token` with the table
@@ -643,37 +649,58 @@ class WorkloadMatrix:
 
         Each row is assigned to the partition matching its predicate
         signature; rows satisfying no predicate fall outside ``dom_W(R)`` and
-        are ignored (they contribute to no count).  Evaluation pins the
-        table's snapshot up front, so the histogram always describes exactly
-        one version even under concurrent appends, and caching is
-        unconditional.  The histogram is cached per (snapshot, version
-        token), held through a weak reference: snapshots are memoised per
-        version, so repeated reads at one version hit; identity can never
-        alias a recycled ``id()``; the version token makes a histogram
-        computed before ``append_rows`` unservable afterwards; and a matrix
-        parked in the module-level memo does not pin a discarded table (and
-        its mask cache) in memory.
+        are ignored (they contribute to no count).  Assignment is by packed
+        signature keys: every membership row is bit-packed into one
+        fixed-width key (see :func:`_unique_signatures`), the keys are
+        deduplicated with a 1-D ``np.unique``, and each distinct key is
+        looked up in a key -> partition map -- so the per-row work is a pack
+        and a sort of integers, and only the distinct signatures are touched
+        from Python.  Counts are exact
+        integers, so the result is bit-identical to looking every row's
+        signature tuple up one by one
+        (:func:`repro.queries.reference.reference_partition_histogram`).
+
+        Evaluation pins the table's snapshot up front, so the histogram
+        always describes exactly one version even under concurrent appends,
+        and caching is unconditional.  The histogram is cached per
+        (snapshot, version token), held through a weak reference: snapshots
+        are memoised per version, so repeated reads at one version hit;
+        identity can never alias a recycled ``id()``; the version token makes
+        a histogram computed before ``append_rows`` unservable afterwards;
+        and a matrix parked in the module-level memo does not pin a
+        discarded table (and its mask cache) in memory.
         """
         table = table.snapshot()
         version = table.version_token
         cached = self._histogram_cache
         if cached is not None and cached[0]() is table and cached[1] == version:
             return cached[2]
-        membership = self._workload.evaluate(table)
-        histogram = np.zeros(self.n_partitions, dtype=float)
-        if membership.size == 0:
-            return histogram
-        index_of_signature = {
-            partition.signature: j for j, partition in enumerate(self._partitions)
-        }
-        signatures, counts = np.unique(membership, axis=0, return_counts=True)
-        for signature_row, count in zip(signatures, counts):
-            signature = tuple(bool(v) for v in signature_row)
-            if not any(signature):
-                continue
-            j = index_of_signature.get(signature)
-            if j is None:
+        with tracing.span(
+            "workload.partition_histogram",
+            rows=len(table),
+            partitions=self.n_partitions,
+        ):
+            membership = self._workload.evaluate(table)
+            histogram = np.zeros(self.n_partitions, dtype=float)
+            if membership.size == 0:
+                return histogram
+            keys, first_rows, counts = _unique_signatures(membership)
+            signatures = membership[first_rows]
+            partition_keys = _signature_keys(
+                np.array(
+                    [p.signature for p in self._partitions], dtype=bool
+                ).reshape(self.n_partitions, membership.shape[1])
+            )
+            # A repeated partition signature maps to its last partition, as
+            # a dict built over the partitions in order would.
+            index = dict(zip(partition_keys.tolist(), range(self.n_partitions)))
+            columns = np.array([index.get(key, -1) for key in keys.tolist()])
+            # Rows matching no predicate lie outside dom_W(R).
+            in_domain = signatures.any(axis=1)
+            unmatched = in_domain & (columns < 0)
+            if unmatched.any():
                 if self._exact:
+                    signature = tuple(signatures[np.argmax(unmatched)].tolist())
                     raise QueryError(
                         "a row matched a predicate signature that the exact "
                         "domain analysis did not enumerate; the table contains "
@@ -683,11 +710,10 @@ class WorkloadMatrix:
                 # Structural matrices use one unit partition per predicate, so
                 # spreading the row into each matching unit partition keeps
                 # W @ x equal to the true per-predicate counts.
-                for i, flag in enumerate(signature):
-                    if flag:
-                        histogram[i] += count
-                continue
-            histogram[j] += count
+                spread = counts[unmatched] @ signatures[unmatched]
+                histogram[: len(spread)] += spread
+            matched = in_domain & (columns >= 0)
+            histogram[columns[matched]] += counts[matched]
         # The snapshot's version never advances, so the histogram is a pure
         # function of (snapshot, version) and admission is unconditional.
         self._histogram_cache = (weakref.ref(table), version, histogram)
@@ -740,8 +766,8 @@ def _enumerate_partitions(
 
     Streams the cross-product in chunks (bounded by :data:`_CELL_BUDGET`
     booleans at a time), evaluates every predicate over each chunk by fancy
-    indexing per-leaf atom vectors, bit-packs the resulting signature rows and
-    deduplicates them with ``np.unique``.  Chunks are visited in cross-product
+    indexing per-leaf atom vectors, and deduplicates the resulting signature
+    rows by their packed keys (:func:`_unique_signatures`).  Chunks are visited in cross-product
     order, so the first chunk to see a signature holds its first cell, and
     partition descriptions come from that cell, matching the original
     ``itertools.product`` enumeration.
@@ -771,8 +797,8 @@ def _enumerate_partitions(
     n_predicates = workload.size
     chunk_cells = max(_MIN_CHUNK_CELLS, _CELL_BUDGET // max(n_predicates, 1))
 
-    #: signature bytes -> (signature tuple, first flat cell index).
-    found: dict[bytes, tuple[tuple[bool, ...], int]] = {}
+    #: packed signature key -> (signature tuple, first flat cell index).
+    found: dict[object, tuple[tuple[bool, ...], int]] = {}
     for start in range(0, n_cells, chunk_cells):
         end = min(start + chunk_cells, n_cells)
         flat = np.arange(start, end, dtype=np.int64)
@@ -792,15 +818,12 @@ def _enumerate_partitions(
             continue
         signatures = signatures[keep]
         flat = flat[keep]
-        packed = np.packbits(signatures, axis=1)
-        # np.unique's return_index is the first occurrence, i.e. the minimal
-        # flat index within the chunk.
-        _, first_rows = np.unique(packed, axis=0, return_index=True)
-        for row in first_rows:
-            key = packed[row].tobytes()
+        # The first occurrence of each key is the minimal flat index within
+        # the chunk.
+        keys, first_rows, _ = _unique_signatures(signatures)
+        for key, row in zip(keys.tolist(), first_rows.tolist()):
             if key not in found:
-                signature = tuple(bool(v) for v in signatures[row])
-                found[key] = (signature, int(flat[row]))
+                found[key] = (tuple(signatures[row].tolist()), int(flat[row]))
 
     partitions = []
     for signature, cell_index in found.values():
@@ -813,6 +836,42 @@ def _enumerate_partitions(
         )
     partitions.sort(key=lambda p: p.signature, reverse=True)
     return partitions
+
+
+def _signature_keys(signatures: np.ndarray) -> np.ndarray:
+    """One fixed-width key per boolean signature row of ``signatures``.
+
+    Rows are bit-packed (``np.packbits``, first predicate in the most
+    significant bit) and viewed as a single scalar: a big-endian ``uint64``
+    converted to native order when ``L <= 64``, else an ``np.void`` of
+    ``ceil(L / 8)`` bytes.  Either way keys compare like the boolean rows
+    do lexicographically, and equal rows -- and only equal rows, for a
+    fixed ``L`` -- share a key.
+    """
+    packed = np.packbits(signatures, axis=1)
+    n_rows, width = packed.shape
+    if width <= 8:
+        padded = np.zeros((n_rows, 8), dtype=np.uint8)
+        padded[:, :width] = packed
+        return padded.view(">u8").ravel().astype(np.uint64)
+    return np.ascontiguousarray(packed).view(np.dtype((np.void, width))).ravel()
+
+
+def _unique_signatures(
+    signatures: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deduplicate boolean signature rows by packed key.
+
+    Returns ``(keys, first_rows, counts)`` for the distinct rows in
+    lexicographic row order: each row's :func:`_signature_keys` key, the
+    index of its first occurrence (1-D ``np.unique`` sorts stably for
+    ``return_index``) and its multiplicity.  Sorting one scalar key per row
+    is what makes this cheap: a row-wise unique would sort the rows as
+    structured records with one field per predicate.
+    """
+    return np.unique(
+        _signature_keys(signatures), return_index=True, return_counts=True
+    )
 
 
 def _collect_leaf_vectors(

@@ -140,3 +140,50 @@ class TestChoice:
     def test_mode_exposed(self):
         translator = AccuracyTranslator(mode=SelectionMode.PESSIMISTIC)
         assert translator.mode is SelectionMode.PESSIMISTIC
+
+
+class TestTierCounters:
+    def test_concurrent_builds_are_all_counted(self, adult_small):
+        """One translator serves every session; eight threads building
+        eight distinct structures at once must count exactly eight builds."""
+        import sys
+        import threading
+
+        from repro.mechanisms.laplace import LaplaceMechanism
+        from repro.queries.query import QueryKind
+
+        laplace = LaplaceMechanism(name="WCQ-LM", kinds=frozenset({QueryKind.WCQ}))
+        translator = AccuracyTranslator(MechanismRegistry([laplace]))
+        accuracy = AccuracySpec(alpha=0.05 * len(adult_small))
+        queries = [
+            WorkloadCountingQuery(point_workload("age", [float(20 + i)]))
+            for i in range(8)
+        ]
+        barrier = threading.Barrier(len(queries))
+        errors: list[Exception] = []
+
+        def build(query):
+            try:
+                barrier.wait(timeout=60)
+                translator.translations(query, accuracy, adult_small.schema)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(q,)) for q in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = translator.cache_stats
+        assert stats["built"] == 8
+        assert stats["misses"] == 8
+        assert isinstance(stats["built"], int)
+        translator.clear_cache()
+        assert translator.cache_stats["built"] == 0

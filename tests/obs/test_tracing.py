@@ -277,7 +277,7 @@ class TestServiceSpans:
         from repro.mechanisms.registry import default_registry
         from repro.service import ExplorationService
         from repro.core.accuracy import AccuracySpec
-        from repro.queries.builders import histogram_workload
+        from repro.queries.builders import cumulative_histogram_workload
         from repro.queries.query import WorkloadCountingQuery
         from tests.service.util import small_table
 
@@ -289,8 +289,10 @@ class TestServiceSpans:
             batch_window=0.0,
         )
         service.register_analyst("a-0")
+        # Nested bins make WCQ-SM the cheapest mechanism, so the explore
+        # builds the partition histogram its strategy answers run on.
         query = WorkloadCountingQuery(
-            histogram_workload("amount", start=0, stop=10_000, bins=4),
+            cumulative_histogram_workload("amount", start=0, stop=10_000, bins=4),
             name="trace-q",
         )
         accuracy = AccuracySpec(alpha=8.0, beta=1e-3)
@@ -321,10 +323,23 @@ class TestServiceSpans:
             "engine.translate",
             "engine.reserve",
             "mechanism.run",
+            "workload.partition_histogram",
             "engine.commit",
         } <= names
         translate = next(s for s in trace if s["name"] == "engine.translate")
         assert translate["attributes"]["cache_tier"] == "exact"
+        histogram = next(
+            s for s in trace if s["name"] == "workload.partition_histogram"
+        )
+        assert histogram["attributes"] == {"rows": 256, "partitions": 4}
+
+        # A second explore at the same version hits the histogram cache and
+        # opens no histogram span.
+        service.explore("a-0", query, accuracy)
+        (trace,) = tracer.drain()
+        names = {s["name"] for s in trace}
+        assert "mechanism.run" in names
+        assert "workload.partition_histogram" not in names
 
     def test_cache_tier_labels_match_the_translator_counters(self, tracer):
         """Every translation tier a span reports is one the translator

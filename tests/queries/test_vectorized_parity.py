@@ -23,10 +23,12 @@ from repro.queries.predicates import (
     Or,
     Predicate,
 )
+from repro.core.exceptions import QueryError
 from repro.queries.reference import (
     reference_domain_matrix,
     reference_mask,
     reference_null_mask,
+    reference_partition_histogram,
 )
 from repro.queries.workload import (
     Workload,
@@ -263,6 +265,107 @@ class TestDomainAnalysisParity:
         expected_matrix, _ = reference_domain_matrix(workload, schema)
         analysis = WorkloadMatrix.from_domain_analysis(workload, schema)
         assert np.array_equal(analysis.matrix, expected_matrix)
+
+
+def assert_histogram_parity(matrix: WorkloadMatrix, table: Table) -> np.ndarray:
+    """Packed-key histogram equals the seed's row-by-row one, bit for bit."""
+    expected = reference_partition_histogram(matrix, table)
+    histogram = matrix.partition_histogram(table)
+    assert histogram.dtype == expected.dtype
+    assert np.array_equal(histogram, expected)
+    assert histogram.tobytes() == expected.tobytes()
+    return histogram
+
+
+class TestPartitionHistogramParity:
+    """``partition_histogram`` assigns rows by packed signature keys; the
+    seed looked every row's signature tuple up in the partition map."""
+
+    #: Packed widths of 1, 1, 1, 2, 5 and 13 bytes: the byte boundary
+    #: (8 -> 9) and the 8-byte boundary between ``uint64`` and ``np.void``
+    #: keys (40 -> 100) are both crossed.
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 40, 100])
+    def test_exact_histograms_bit_identical(self, size):
+        rng = np.random.default_rng(2000 + size)
+        schema = parity_schema()
+        table = random_table(rng, n_rows=400)
+        workload = Workload([random_predicate(rng, depth=1) for _ in range(size)])
+        matrix = WorkloadMatrix.from_domain_analysis(workload, schema)
+        histogram = assert_histogram_parity(matrix, table)
+        assert np.array_equal(matrix.matrix @ histogram, workload.true_answers(table))
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 40, 100])
+    def test_structural_histograms_spread_bit_identical(self, size):
+        """Structural matrices spread each row into the unit partition of
+        every predicate it matches, so ``W @ x`` is the true answer."""
+        rng = np.random.default_rng(3000 + size)
+        table = random_table(rng, n_rows=400)
+        workload = Workload([random_predicate(rng) for _ in range(size)])
+        matrix = workload.analyze(None)
+        assert not matrix.exact
+        histogram = assert_histogram_parity(matrix, table)
+        assert np.array_equal(histogram, workload.true_answers(table))
+
+    def test_null_rows_and_rows_matching_nothing_are_ignored(self):
+        schema = parity_schema()
+        table = random_table(np.random.default_rng(5))
+        workload = Workload(
+            [
+                IsNull("state"),
+                Comparison("score", ">", 90.0),
+                And([IsNull("score", negated=True), Comparison("kind", "==", "gold")]),
+            ]
+        )
+        matrix = WorkloadMatrix.from_domain_analysis(workload, schema)
+        membership = workload.evaluate(table)
+        assert not membership.any(axis=1).all()  # some rows fall outside dom_W
+        histogram = assert_histogram_parity(matrix, table)
+        assert histogram.sum() == membership.any(axis=1).sum()
+
+    def test_empty_table(self):
+        schema = parity_schema()
+        table = random_table(np.random.default_rng(6), n_rows=0)
+        workload = Workload([Comparison("score", ">", 10.0), IsNull("state")])
+        for matrix in (
+            WorkloadMatrix.from_domain_analysis(workload, schema),
+            workload.analyze(None),
+        ):
+            histogram = assert_histogram_parity(matrix, table)
+            assert not histogram.any()
+
+    def test_same_matrix_after_append_rows(self):
+        rng = np.random.default_rng(7)
+        schema = parity_schema()
+        table = random_table(rng, n_rows=300)
+        workload = Workload([random_predicate(rng) for _ in range(9)])
+        matrix = WorkloadMatrix.from_domain_analysis(workload, schema)
+        before = assert_histogram_parity(matrix, table)
+        table.append_rows(
+            [
+                {"state": "CA", "kind": "gold", "score": 100.0, "count": 0.0},
+                {"state": None, "kind": "bronze", "score": None, "count": 1000.0},
+                {"state": "NY", "kind": "silver", "score": 50.0, "count": 49.0},
+            ]
+        )
+        after = assert_histogram_parity(matrix, table)
+        assert after.sum() >= before.sum()
+        assert after.sum() - before.sum() <= 3
+
+    def test_out_of_domain_value_still_raises(self):
+        schema = parity_schema()
+        workload = Workload(
+            [Comparison("score", ">", 50.0), Comparison("score", "<=", 100.0)]
+        )
+        matrix = WorkloadMatrix.from_domain_analysis(workload, schema)
+        table = random_table(np.random.default_rng(8), n_rows=50)
+        assert_histogram_parity(matrix, table)
+        table.append_rows(
+            [{"state": "CA", "kind": "gold", "score": 150.0, "count": 1.0}]
+        )
+        with pytest.raises(QueryError, match="did not enumerate"):
+            reference_partition_histogram(matrix, table)
+        with pytest.raises(QueryError, match="did not enumerate"):
+            matrix.partition_histogram(table)
 
 
 class TestAnalysisMemo:
