@@ -11,6 +11,7 @@ serving pre-mutation artifacts after an ``append_rows``/``refresh``.
 This rule inspects every *key expression* flowing into a cache operation:
 
 * ``<cache>.get(key)`` / ``<cache>.put(key, ...)`` / ``<cache>.setdefault(key, ...)``
+  and the tiered memo's ``<memo>.lookup(key, ...)`` / ``<memo>.peek(key, ...)``
   where the receiver's final name segment matches ``cache``/``memo``;
 * subscripts ``<cache>[key]`` on such receivers (read or store).
 
@@ -43,7 +44,7 @@ _MARKER = re.compile(
     r"(version|token|stamp|fingerprint|digest|cache_key|mask_key|key\b)",
     re.IGNORECASE,
 )
-_CACHE_METHODS = frozenset({"get", "put", "setdefault"})
+_CACHE_METHODS = frozenset({"get", "put", "setdefault", "lookup", "peek"})
 
 
 def _receiver_is_cacheish(node: ast.expr) -> bool:

@@ -23,9 +23,11 @@ exploration strategies' relaxation loops (which re-ask structurally identical
 queries round after round) and repeated ``preview_cost`` calls stop paying
 for mechanism translation more than once.
 
-Like the workload-matrix memo, the translation memo is three-tiered when
-the ``version`` argument is a :class:`~repro.data.table.DomainStamp`:
-a miss on the exact (version-scoped) key falls through to a revalidation
+The memo is a :class:`~repro.store.memo.TieredMemo`, like the
+workload-matrix memo; this module supplies its keys, payload codec and
+build.  When the ``version`` argument is a
+:class:`~repro.data.table.DomainStamp`, a miss on the exact
+(version-scoped) key falls through to a revalidation
 tier keyed by the stamp's domain fingerprints (translation is data
 independent, so a mutation that preserved every referenced domain cannot
 change it) and then to the stamp's
@@ -43,15 +45,14 @@ from dataclasses import dataclass
 
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
-from repro.core.lru import LRUCache
 from repro.data.schema import Schema
 from repro.data.table import DomainStamp
 from repro.mechanisms.base import Mechanism, TranslationResult
 from repro.mechanisms.registry import MechanismRegistry, default_registry
-from repro.obs import tracing
 from repro.obs.registry import Counter
 from repro.queries.query import Query
 from repro.store.fingerprint import stable_digest
+from repro.store.memo import TieredMemo
 
 __all__ = ["SelectionMode", "MechanismChoice", "AccuracyTranslator"]
 
@@ -94,21 +95,21 @@ class AccuracyTranslator:
     ) -> None:
         self._registry = registry if registry is not None else default_registry()
         self._mode = mode
-        self._translation_cache: LRUCache[
+        #: Exact, revalidation (domain-fingerprint) and store tiers of the
+        #: translation lists.  One translator serves every concurrent
+        #: session, so the tier counters are lock-protected registry
+        #: counters, owned (not registered) by this instance.
+        self._translation_memo: TieredMemo[
             list[tuple[Mechanism, TranslationResult]]
-        ] = LRUCache(self.CACHE_MAX_ENTRIES)
-        #: Revalidation tier: the same lists keyed by domain fingerprints
-        #: instead of the version, so domain-preserving mutations re-tag.
-        self._domain_cache: LRUCache[
-            list[tuple[Mechanism, TranslationResult]]
-        ] = LRUCache(self.CACHE_MAX_ENTRIES)
-        #: Tier counters; one translator serves every concurrent session,
-        #: so they are lock-protected registry counters, owned (not
-        #: registered) by this instance.
-        self._tier_stats = {
-            tier: Counter()
-            for tier in ("built", "revalidated", "disk_hits", "disk_writes")
-        }
+        ] = TieredMemo(
+            "translation",
+            "cache_tier",
+            self.CACHE_MAX_ENTRIES,
+            {
+                tier: Counter()
+                for tier in ("built", "revalidated", "disk_hits", "disk_writes")
+            },
+        )
 
     @property
     def registry(self) -> MechanismRegistry:
@@ -127,14 +128,10 @@ class AccuracyTranslator:
         domain-fingerprint tier, ``disk_hits``/``disk_writes`` the artifact
         store, and ``built`` the translation lists actually computed.
         """
-        tiers = {tier: int(c.value()) for tier, c in self._tier_stats.items()}
-        return {**self._translation_cache.stats(), **tiers}
+        return self._translation_memo.stats()
 
     def clear_cache(self) -> None:
-        self._translation_cache.clear()
-        self._domain_cache.clear()
-        for counter in self._tier_stats.values():
-            counter.reset()
+        self._translation_memo.clear()
 
     def is_cached(
         self,
@@ -147,27 +144,18 @@ class AccuracyTranslator:
         """Whether :meth:`translations` would be answered from the memo.
 
         A pure peek: neither recency nor the hit/miss counters change.  The
-        service's batching front door uses this to skip the coalescing window
-        for requests that are already warm (they cost microseconds; only cold
-        builds are worth batching).  With a
+        service's batching front door uses this to skip the batcher for
+        requests that are already warm (they cost microseconds; only cold
+        builds are worth sharing).  With a
         :class:`~repro.data.table.DomainStamp` the peek covers the
         revalidation tier too: a post-append request whose domains are
         unchanged is warm, it just has not been re-tagged yet.
         """
-        query_key = query.cache_key(schema, version)
-        if query_key is None:
-            return False
-        if (query_key, accuracy.alpha, accuracy.beta) in self._translation_cache:
-            return True
-        if isinstance(version, DomainStamp):
-            domain_key = query.cache_key(schema, version.domain_key)
-            if domain_key is not None:
-                return (
-                    domain_key,
-                    accuracy.alpha,
-                    accuracy.beta,
-                ) in self._domain_cache
-        return False
+        stamp = version if isinstance(version, DomainStamp) else None
+        return self._translation_memo.peek(
+            self._memo_key(query, accuracy, schema, version),
+            lambda: self._domain_key(query, accuracy, schema, stamp),
+        )
 
     # -- translation ---------------------------------------------------------------
 
@@ -193,48 +181,63 @@ class AccuracyTranslator:
         stamp's :class:`~repro.store.ArtifactStore` before any mechanism
         translation runs.
         """
-        query_key = query.cache_key(schema, version)
-        cache_key = None
-        if query_key is not None:
-            cache_key = (query_key, accuracy.alpha, accuracy.beta)
-            cached = self._translation_cache.get(cache_key)
-            if cached is not None:
-                tracing.annotate("cache_tier", "exact")
-                return list(cached)
         stamp = version if isinstance(version, DomainStamp) else None
-        domain_cache_key = None
-        if cache_key is not None and stamp is not None:
-            domain_query_key = query.cache_key(schema, stamp.domain_key)
-            if domain_query_key is not None:
-                domain_cache_key = (domain_query_key, accuracy.alpha, accuracy.beta)
-                cached = self._domain_cache.get(domain_cache_key)
-                if cached is not None:
-                    self._tier_stats["revalidated"].inc()
-                    tracing.annotate("cache_tier", "revalidated")
-                    self._translation_cache.put(cache_key, list(cached))
-                    return list(cached)
+        return list(
+            self._translation_memo.lookup(
+                self._memo_key(query, accuracy, schema, version),
+                lambda: self._translate_all(query, accuracy, schema, version),
+                domain_key=lambda: self._domain_key(query, accuracy, schema, stamp),
+                store=None if stamp is None else stamp.store,
+                digest=lambda: self._store_digest(query, accuracy, schema, stamp),
+                decode=lambda payload, _: self._from_payload(
+                    payload, self._applicable(query)
+                ),
+                encode=lambda out, _: [(m.name, result) for m, result in out],
+            )
+        )
+
+    @staticmethod
+    def _memo_key(
+        query: Query,
+        accuracy: AccuracySpec,
+        schema: Schema | None,
+        version: object | None,
+    ) -> tuple | None:
+        query_key = query.cache_key(schema, version)
+        if query_key is None:
+            return None
+        return (query_key, accuracy.alpha, accuracy.beta)
+
+    def _domain_key(
+        self,
+        query: Query,
+        accuracy: AccuracySpec,
+        schema: Schema | None,
+        stamp: DomainStamp | None,
+    ) -> tuple | None:
+        """The revalidation tier's version-free key (``None`` without a stamp)."""
+        if stamp is None:
+            return None
+        return self._memo_key(query, accuracy, schema, stamp.domain_key)
+
+    def _applicable(self, query: Query) -> list[Mechanism]:
         applicable = self._registry.for_query(query)
         if not applicable:
             raise TranslationError(
                 f"no registered mechanism supports {query.kind.value} queries"
             )
-        store = stamp.store if stamp is not None else None
-        store_digest = None
-        if store is not None and cache_key is not None:
-            store_digest = self._store_digest(query, accuracy, schema, stamp, applicable)
-        if store_digest is not None:
-            loaded = self._from_payload(
-                store.load("translation", store_digest), applicable  # type: ignore[union-attr]
-            )
-            if loaded is not None:
-                self._tier_stats["disk_hits"].inc()
-                tracing.annotate("cache_tier", "disk")
-                self._translation_cache.put(cache_key, list(loaded))
-                if domain_cache_key is not None:
-                    self._domain_cache.put(domain_cache_key, list(loaded))
-                return list(loaded)
+        return applicable
+
+    def _translate_all(
+        self,
+        query: Query,
+        accuracy: AccuracySpec,
+        schema: Schema | None,
+        version: object | None,
+    ) -> list[tuple[Mechanism, TranslationResult]]:
+        """Every applicable mechanism's translation, skipping failures."""
         out: list[tuple[Mechanism, TranslationResult]] = []
-        for mechanism in applicable:
+        for mechanism in self._applicable(query):
             try:
                 out.append(
                     (
@@ -249,16 +252,6 @@ class AccuracyTranslator:
                 f"no mechanism could translate the accuracy requirement {accuracy} "
                 f"for query {query.name!r}"
             )
-        self._tier_stats["built"].inc()
-        tracing.annotate("cache_tier", "built")
-        if cache_key is not None:
-            self._translation_cache.put(cache_key, list(out))
-        if domain_cache_key is not None:
-            self._domain_cache.put(domain_cache_key, list(out))
-        if store_digest is not None:
-            payload = [(mechanism.name, result) for mechanism, result in out]
-            if store.save("translation", store_digest, payload):  # type: ignore[union-attr]
-                self._tier_stats["disk_writes"].inc()
         return out
 
     def _store_digest(
@@ -267,7 +260,6 @@ class AccuracyTranslator:
         accuracy: AccuracySpec,
         schema: Schema | None,
         stamp: DomainStamp,
-        applicable: list[Mechanism],
     ) -> str | None:
         """Process-stable disk key of one translation list, or ``None``.
 
@@ -288,7 +280,10 @@ class AccuracyTranslator:
                 stamp.fingerprints,
                 accuracy.alpha,
                 accuracy.beta,
-                tuple(mechanism.cache_signature() for mechanism in applicable),
+                tuple(
+                    mechanism.cache_signature()
+                    for mechanism in self._applicable(query)
+                ),
             )
         )
 

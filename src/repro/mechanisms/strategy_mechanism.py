@@ -14,8 +14,11 @@ evaluated by Monte-Carlo simulation of the failure probability
 (``estimateBeta`` in Algorithm 3), with a normal-approximation confidence
 correction so the accepted epsilon meets the requirement with high
 confidence.  Theorem A.1 provides the Chebyshev-based upper end of the search
-interval.  The simulation is data independent, so results are cached per
-(workload, accuracy) pair.
+interval.  The simulation is data independent, so results are memoised per
+(matrix, accuracy) pair in a :class:`~repro.store.memo.TieredMemo` (exact
+tier, then the stamp's artifact store); only a miss builds the strategy,
+factorizes it and searches, under the ``strategy.build``,
+``strategy.factorize`` and ``wcqsm.search`` spans.
 
 ``ICQ-SM`` (Section 5.3.1) reuses the same machinery: it answers the workload
 with a WCQ-accuracy requirement whose failure probability is doubled (the ICQ
@@ -34,13 +37,13 @@ import numpy as np
 
 from repro.core.accuracy import AccuracySpec
 from repro.core.exceptions import TranslationError
-from repro.core.lru import LRUCache
 from repro.data.schema import Schema
 from repro.data.table import DomainStamp, Table, TableSnapshot
 from repro.mechanisms.base import Mechanism, MechanismResult, TranslationResult
 from repro.obs import tracing
 from repro.obs.registry import default_metrics
 from repro.store.fingerprint import stable_digest
+from repro.store.memo import TieredMemo
 from repro.mechanisms.noise import laplace_noise
 from repro.mechanisms.strategies import (
     StrategyMatrix,
@@ -124,8 +127,18 @@ class StrategyMechanism(Mechanism):
         # loop) share one Monte-Carlo epsilon search -- while a table
         # mutation (new version token) forces a fresh search instead of
         # resurrecting a stale one.  Tokens hold their referents, so ids
-        # never alias.
-        self._cache: LRUCache[StrategyTranslation] = LRUCache(256)
+        # never alias.  No revalidation tier: a re-tagged matrix keeps its
+        # cache token, so this memo hits by construction.
+        self._cache: TieredMemo[StrategyTranslation] = TieredMemo(
+            "wcqsm",
+            "search_tier",
+            256,
+            {
+                "built": _SEARCH_COUNTERS["searches"],
+                "disk_hits": _SEARCH_COUNTERS["disk_hits"],
+                "disk_writes": _SEARCH_COUNTERS["disk_writes"],
+            },
+        )
 
     # -- public API ---------------------------------------------------------------
 
@@ -230,37 +243,46 @@ class StrategyMechanism(Mechanism):
         beta: float,
         store: object | None = None,
     ) -> StrategyTranslation:
-        cache_key = (workload_matrix.cache_token, float(alpha), float(beta))
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            tracing.annotate("search_tier", "exact")
-            return cached
+        return self._cache.lookup(
+            (workload_matrix.cache_token, float(alpha), float(beta)),
+            lambda: self._search(workload_matrix, alpha, beta),
+            store=store,
+            digest=lambda: self._search_digest(workload_matrix, alpha, beta),
+            decode=lambda payload, _: (
+                payload if isinstance(payload, StrategyTranslation) else None
+            ),
+        )
 
-        # Disk tier: the matrix's store digest is a content address covering
-        # the workload structure and the referenced attribute domains, so a
-        # search persisted by a previous process under the same digest,
-        # accuracy pair and mechanism configuration is the same search.
-        store_key = None
-        if store is not None and workload_matrix.store_digest is not None:
-            store_key = stable_digest(
-                (
-                    "wcqsm",
-                    workload_matrix.store_digest,
-                    float(alpha),
-                    float(beta),
-                    self.cache_signature(),
-                )
+    def _search_digest(
+        self, workload_matrix: WorkloadMatrix, alpha: float, beta: float
+    ) -> str | None:
+        """Disk key of one search, or ``None`` for a matrix without a digest.
+
+        The matrix's store digest is a content address covering the workload
+        structure and the referenced attribute domains, so a search persisted
+        by a previous process under the same digest, accuracy pair and
+        mechanism configuration is the same search.
+        """
+        if workload_matrix.store_digest is None:
+            return None
+        return stable_digest(
+            (
+                "wcqsm",
+                workload_matrix.store_digest,
+                float(alpha),
+                float(beta),
+                self.cache_signature(),
             )
-        if store_key is not None:
-            loaded = store.load("wcqsm", store_key)  # type: ignore[union-attr]
-            if isinstance(loaded, StrategyTranslation):
-                _SEARCH_COUNTERS["disk_hits"].inc()
-                tracing.annotate("search_tier", "disk")
-                self._cache.put(cache_key, loaded)
-                return loaded
+        )
 
-        strategy = self._build_strategy(workload_matrix)
-        reconstruction = strategy.reconstruction(workload_matrix.matrix)
+    def _search(
+        self, workload_matrix: WorkloadMatrix, alpha: float, beta: float
+    ) -> StrategyTranslation:
+        """Algorithm 3's translate: strategy, reconstruction, epsilon search."""
+        with tracing.span("strategy.build", partitions=workload_matrix.n_partitions):
+            strategy = self._build_strategy(workload_matrix)
+        with tracing.span("strategy.factorize"):
+            reconstruction = strategy.reconstruction(workload_matrix.matrix)
         frobenius = float(np.linalg.norm(reconstruction, ord="fro"))
         sensitivity = strategy.sensitivity
         chebyshev_upper = sensitivity * frobenius / (alpha * math.sqrt(beta / 2.0))
@@ -270,9 +292,7 @@ class StrategyMechanism(Mechanism):
             epsilon, iterations = self._binary_search_epsilon(
                 reconstruction, sensitivity, alpha, beta, chebyshev_upper, simulation_rng
             )
-        _SEARCH_COUNTERS["searches"].inc()
-        tracing.annotate("search_tier", "built")
-        translation = StrategyTranslation(
+        return StrategyTranslation(
             epsilon=epsilon,
             strategy=strategy,
             reconstruction=reconstruction,
@@ -280,11 +300,6 @@ class StrategyMechanism(Mechanism):
             mc_samples=self._mc_samples,
             search_iterations=iterations,
         )
-        self._cache.put(cache_key, translation)
-        if store_key is not None:
-            if store.save("wcqsm", store_key, translation):  # type: ignore[union-attr]
-                _SEARCH_COUNTERS["disk_writes"].inc()
-        return translation
 
     def _build_strategy(self, workload_matrix: WorkloadMatrix) -> StrategyMatrix:
         strategy = self._strategy_factory(workload_matrix.n_partitions)

@@ -63,9 +63,11 @@ class Query:
         self._name = name or self.__class__.__name__
         self._disjoint = disjoint
         self._sensitivity_override = sensitivity
-        self._matrix_cache: WorkloadMatrix | None = None
-        self._matrix_schema: Schema | None = None
-        self._matrix_version: TableVersion | None = None
+        #: ``(schema, version, matrix)`` of the last analysis, in one
+        #: attribute so that concurrent requests never see a torn triple.
+        self._matrix_memo: (
+            tuple[Schema | None, TableVersion | None, WorkloadMatrix] | None
+        ) = None
         self._true_counts_cache: (
             tuple[weakref.ref[Table], TableVersion, np.ndarray] | None
         ) = None
@@ -102,21 +104,16 @@ class Query:
         per-query memo here and the module-level matrix memo key on it, so a
         table mutation forces a rebuild instead of reusing a stale matrix.
         """
-        if (
-            self._matrix_cache is not None
-            and schema is self._matrix_schema
-            and version == self._matrix_version
-        ):
-            return self._matrix_cache
+        memo = self._matrix_memo
+        if memo is not None and schema is memo[0] and version == memo[1]:
+            return memo[2]
         matrix = self._workload.analyze(
             schema,
             disjoint=self._disjoint,
             sensitivity=self._sensitivity_override,
             version=version,
         )
-        self._matrix_cache = matrix
-        self._matrix_schema = schema
-        self._matrix_version = version
+        self._matrix_memo = (schema, version, matrix)
         return matrix
 
     def cache_key(

@@ -36,25 +36,26 @@ Two analysis paths are provided:
 
 Because the exploration strategies (and the APEx relaxation loops in
 particular) re-ask structurally identical workloads many times,
-:meth:`Workload.analyze` memoises matrices in a module-level LRU keyed by the
-workload structure (predicates + names + schema identity + overrides + table
-version token); see :func:`matrix_cache_stats`.  The version token is what
-keeps the memo honest under table growth: an ``append_rows`` advances the
-token, so the next analysis for that table misses instead of resurrecting a
-matrix derived for the previous state.
+:meth:`Workload.analyze` memoises matrices in a module-level
+:class:`~repro.store.memo.TieredMemo` keyed by the workload structure
+(predicates + names + schema identity + overrides + table version token);
+see :func:`matrix_cache_stats`.  The version token is what keeps the memo
+honest under table growth: an ``append_rows`` advances the token, so the
+next analysis for that table misses instead of resurrecting a matrix
+derived for the previous state.
 
-The memo is **three-tiered** when the caller passes a
-:class:`~repro.data.table.DomainStamp` (what every engine entry point does)
-instead of a bare token: a miss on the exact (version-scoped) key falls
-through to a *revalidation* tier keyed by the stamp's domain fingerprints --
-exact domain analysis is a pure function of the workload structure and the
-referenced attribute domains, so a mutation that provably preserved those
-domains re-tags the existing matrix for the new version instead of
-re-enumerating millions of cells -- and then to the stamp's optional
+When the caller passes a :class:`~repro.data.table.DomainStamp` (what every
+engine entry point does) instead of a bare token, the memo's lower tiers
+come into play: a *revalidation* tier keyed by the stamp's domain
+fingerprints -- exact domain analysis is a pure function of the workload
+structure and the referenced attribute domains, so a mutation that provably
+preserved those domains re-tags the existing matrix for the new version
+instead of re-enumerating millions of cells -- and the stamp's optional
 :class:`~repro.store.ArtifactStore`, so a fresh process warm-starts from a
-previous run's disk cache.  ``matrix_cache_stats()`` reports
-``built``/``revalidated``/``disk_hits`` alongside the LRU counters; the
-full contract lives in ``docs/store.md``.
+previous run's disk cache.  This module supplies the keys, the payload
+codec and the build; the memo owns the tier order.  ``matrix_cache_stats()``
+reports ``built``/``revalidated``/``disk_hits`` alongside the LRU counters;
+the full contract lives in ``docs/store.md``.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.exceptions import PredicateError, QueryError
-from repro.core.lru import LRUCache
 from repro.data.schema import AttributeKind, Schema
 from repro.data.table import DomainStamp, Table, TableVersion
 from repro.obs import tracing
 from repro.obs.registry import default_metrics
 from repro.store.fingerprint import stable_digest
+from repro.store.memo import TieredMemo
 from repro.queries.predicates import (
     And,
     Between,
@@ -129,22 +130,20 @@ class _IdKey:
         return isinstance(other, _IdKey) and other.obj is self.obj
 
 
-#: Process-wide LRU of :class:`WorkloadMatrix` keyed by workload structure
-#: plus the exact table version (or stamp) the analysis was requested for.
-_MATRIX_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
-
-#: Revalidation tier: the same matrices keyed by workload structure plus the
-#: *domain fingerprints* only -- version-free, so a domain-preserving
-#: mutation finds the existing matrix here and re-tags it for its new
-#: version instead of rebuilding.
-_MATRIX_DOMAIN_CACHE: "LRUCache[WorkloadMatrix]" = LRUCache(128)
-
-#: Registry counters of the tiers beneath the exact-key LRU, exported as
+#: Process-wide memo of :class:`WorkloadMatrix`, keyed by workload structure
+#: plus the exact table version (or stamp) the analysis was requested for,
+#: with a revalidation tier keyed by the *domain fingerprints* only and the
+#: stamp's artifact store beneath.  Its tier counters are the registry's
 #: ``repro_queries_matrix_<tier>`` (see matrix_cache_stats).
-_MATRIX_TIER_COUNTERS = {
-    tier: default_metrics().counter(f"repro_queries_matrix_{tier}")
-    for tier in ("built", "revalidated", "disk_hits", "disk_writes")
-}
+_MATRIX_MEMO: "TieredMemo[WorkloadMatrix]" = TieredMemo(
+    "matrix",
+    "matrix_tier",
+    128,
+    {
+        tier: default_metrics().counter(f"repro_queries_matrix_{tier}")
+        for tier in ("built", "revalidated", "disk_hits", "disk_writes")
+    },
+)
 
 
 def matrix_cache_stats() -> dict[str, int]:
@@ -156,16 +155,12 @@ def matrix_cache_stats() -> dict[str, int]:
     store, and ``built`` the analyses that actually enumerated (the only
     counter that costs real work).
     """
-    tiers = {tier: int(c.value()) for tier, c in _MATRIX_TIER_COUNTERS.items()}
-    return {**_MATRIX_CACHE.stats(), **tiers}
+    return _MATRIX_MEMO.stats()
 
 
 def clear_matrix_cache() -> None:
     """Drop every memoised workload matrix and reset every counter."""
-    _MATRIX_CACHE.clear()
-    _MATRIX_DOMAIN_CACHE.clear()
-    for counter in _MATRIX_TIER_COUNTERS.values():
-        counter.reset()
+    _MATRIX_MEMO.clear()
 
 
 class Workload:
@@ -292,75 +287,42 @@ class Workload:
         schema object, same overrides, same table version) returns the
         previously built matrix without re-deriving it.
         """
-        key = self._analysis_key(schema, disjoint, sensitivity, version)
-        if key is not None:
-            cached = _MATRIX_CACHE.get(key)
-            if cached is not None:
-                tracing.annotate("matrix_tier", "exact")
-                return cached
-        stamp = version if isinstance(version, DomainStamp) else None
-        domain_key = None
-        if key is not None and stamp is not None:
-            domain_key = self._analysis_key(
-                schema, disjoint, sensitivity, stamp.domain_key
-            )
-            cached = _MATRIX_DOMAIN_CACHE.get(domain_key)
-            if cached is not None:
-                # Same workload, same referenced domains, different version:
-                # the enumeration would reproduce this matrix bit for bit, so
-                # re-tag it for the new version instead of rebuilding.
-                _MATRIX_TIER_COUNTERS["revalidated"].inc()
-                tracing.annotate("matrix_tier", "revalidated")
-                _MATRIX_CACHE.put(key, cached)
-                return cached
-        structural_hint = disjoint is not None or sensitivity is not None
         exact = (
-            self.supports_domain_analysis
-            and schema is not None
-            and not structural_hint
+            schema is not None
+            and disjoint is None
+            and sensitivity is None
+            and self.supports_domain_analysis
         )
-        store = stamp.store if stamp is not None else None
-        store_digest = None
-        if stamp is not None and store is not None:
-            store_digest = self._store_digest(schema, disjoint, sensitivity, stamp)
-        if exact and store_digest is not None:
-            payload = store.load("matrix", store_digest)  # type: ignore[union-attr]
-            matrix = self._matrix_from_payload(payload, schema, version, store_digest)
-            if matrix is not None:
-                _MATRIX_TIER_COUNTERS["disk_hits"].inc()
-                tracing.annotate("matrix_tier", "disk")
-                if key is not None:
-                    _MATRIX_CACHE.put(key, matrix)
-                if domain_key is not None:
-                    _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
-                return matrix
-        with tracing.span("workload.matrix_build", exact=exact):
-            if exact:
-                matrix = WorkloadMatrix.from_domain_analysis(
-                    self, schema, version=version
-                )
-            else:
-                matrix = WorkloadMatrix.from_structure(
+
+        def build() -> WorkloadMatrix:
+            with tracing.span("workload.matrix_build", exact=exact):
+                if exact:
+                    return WorkloadMatrix.from_domain_analysis(
+                        self, schema, version=version
+                    )
+                return WorkloadMatrix.from_structure(
                     self, disjoint=bool(disjoint), sensitivity=sensitivity
                 )
-        _MATRIX_TIER_COUNTERS["built"].inc()
-        tracing.annotate("matrix_tier", "built")
-        if key is not None:
-            _MATRIX_CACHE.put(key, matrix)
-        if domain_key is not None:
-            _MATRIX_DOMAIN_CACHE.put(domain_key, matrix)
-        if store_digest is not None:
-            # The digest is assigned to structural matrices too: the identity
-            # matrix itself is trivial to rebuild (so it is never persisted),
-            # but downstream artifacts -- the WCQ-SM Monte-Carlo search in
-            # particular -- derive their disk keys from it, which is what
-            # lets workloads of *named* opaque predicates warm-start their
-            # searches from the store.
-            matrix.store_digest = store_digest
-            if matrix.exact:
-                if store.save("matrix", store_digest, _matrix_payload(matrix)):  # type: ignore[union-attr]
-                    _MATRIX_TIER_COUNTERS["disk_writes"].inc()
-        return matrix
+
+        stamp = version if isinstance(version, DomainStamp) else None
+
+        def decode(payload: object, digest: str) -> WorkloadMatrix | None:
+            return self._matrix_from_payload(payload, schema, version, digest)
+
+        return _MATRIX_MEMO.lookup(
+            self._analysis_key(schema, disjoint, sensitivity, version),
+            build,
+            domain_key=lambda: (
+                None
+                if stamp is None
+                else self._analysis_key(schema, disjoint, sensitivity, stamp.domain_key)
+            ),
+            store=None if stamp is None else stamp.store,
+            digest=lambda: self._store_digest(schema, disjoint, sensitivity, stamp),
+            # Only exact matrices are ever persisted, so only they are loaded.
+            decode=decode if exact else None,
+            encode=_stamp_and_encode,
+        )
 
     def _store_digest(
         self,
@@ -747,6 +709,21 @@ def _matrix_payload(matrix: "WorkloadMatrix") -> dict[str, object]:
         "descriptions": [p.description for p in matrix.partitions],
         "exact": bool(matrix.exact),
     }
+
+
+def _stamp_and_encode(
+    matrix: "WorkloadMatrix", store_digest: str
+) -> dict[str, object] | None:
+    """Tag a freshly built matrix with its digest; the payload if exact.
+
+    The digest is assigned to structural matrices too: the identity matrix
+    itself is trivial to rebuild (so it is never persisted), but downstream
+    artifacts -- the WCQ-SM Monte-Carlo search in particular -- derive their
+    disk keys from it, which is what lets workloads of *named* opaque
+    predicates warm-start their searches from the store.
+    """
+    matrix.store_digest = store_digest
+    return _matrix_payload(matrix) if matrix.exact else None
 
 
 def _structural_token(workload: Workload, schema: Schema) -> tuple | None:

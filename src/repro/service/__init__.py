@@ -6,8 +6,10 @@ tables and the owner's total privacy budget ``B``, mints per-analyst ledgers
 under a :class:`BudgetPolicy` (equal fixed shares, or first-come over the
 whole pool), serializes admission control and charging through a
 :class:`SharedBudgetPool` so concurrent ``explore`` calls can never jointly
-overspend ``B``, and coalesces structurally identical requests through a
-:class:`RequestBatcher` so one workload-matrix build serves a whole batch.
+overspend ``B``, and coalesces structurally identical cold previews that
+are in flight at once through a :class:`RequestBatcher` (single-flight, no
+caching: later duplicates are translation-memo hits), so one workload-matrix
+build serves them all.
 
 The merged, cross-analyst transcript is maintained in commit order and can be
 checked with the paper's Theorem 6.2 machinery at any time

@@ -1,9 +1,10 @@
 """An asyncio-compatible front end over :class:`ExplorationService`.
 
 The threaded service is blocking by design: ``explore`` runs a mechanism,
-``preview_cost`` may sit in the :class:`~repro.service.batching.RequestBatcher`
-collection window.  A deployment that holds *thousands* of open analyst
-sessions cannot afford a thread per session -- but it doesn't need one:
+``preview_cost`` may wait on another request's
+:class:`~repro.service.batching.RequestBatcher` flight.  A deployment that
+holds *thousands* of open analyst sessions cannot afford a thread per
+session -- but it doesn't need one:
 sessions are idle almost all the time, and the service's own internals
 (memo caches, request coalescing) already absorb bursts of concurrent
 requests efficiently.

@@ -16,8 +16,8 @@ budget ``B``, and any number of analysts then register sessions and issue
   :class:`~repro.core.translator.AccuracyTranslator` (translation memo) and
   the process-wide workload-matrix memo, and a
   :class:`~repro.service.batching.RequestBatcher` coalesces structurally
-  identical requests arriving within a window so a cold workload-matrix
-  build happens once per batch rather than once per analyst;
+  identical cold previews that are in flight at once, so a cold
+  workload-matrix build happens once rather than once per analyst;
 * **snapshot isolation** -- every request is admitted on a pinned
   :class:`~repro.data.table.TableSnapshot` (the snapshot's version token
   joins the batch key), so long-running explores are wait-free against
@@ -133,11 +133,6 @@ class ExplorationService:
     :param registry: mechanism suite; defaults per engine to the paper's.
     :param seed: base seed; session ``i`` gets ``seed + i`` so runs are
         reproducible yet sessions draw independent noise.
-    :param batch_window: collection window (seconds) of the request batcher;
-        ``0`` disables batching delays but keeps single-flight coalescing.
-        The linger of completed flights adapts to the observed duplicate
-        inter-arrival time within ``[window/4, 4*window]`` (see
-        :class:`~repro.service.batching.RequestBatcher`).
     :param store: an optional :class:`~repro.store.ArtifactStore` shared by
         every session's engine.  A restarted service pointed at the previous
         run's directory warm-starts: structurally identical previews are
@@ -171,7 +166,6 @@ class ExplorationService:
         mode: SelectionMode | str = SelectionMode.OPTIMISTIC,
         registry: MechanismRegistry | None = None,
         seed: int | None = None,
-        batch_window: float = 0.002,
         store: ArtifactStore | None = None,
         journal: LedgerJournal | None = None,
         request_deadline: float | None = None,
@@ -211,7 +205,7 @@ class ExplorationService:
         self._seed = seed
         self._store = store
         self._translator = AccuracyTranslator(registry, mode)
-        self._batcher = RequestBatcher(window=batch_window)
+        self._batcher = RequestBatcher()
         self._sessions: dict[str, AnalystSessionHandle] = {}
         self._lock = threading.RLock()
         self._session_counter = itertools.count()
@@ -346,12 +340,7 @@ class ExplorationService:
         }
 
     def latency_stats(self) -> dict[str, dict[str, float]]:
-        """Per-entry-point request latency aggregates (count/mean/max seconds).
-
-        The ``batcher`` entry reports the request batcher's adaptive linger:
-        its configured base window, the current effective linger, and the
-        duplicate inter-arrival EWMA it is derived from.
-        """
+        """Per-entry-point request latency aggregates (count/mean/max seconds)."""
         out: dict[str, dict[str, float]] = {}
         with self._lock:
             for kind, values in self._latencies.items():
@@ -363,15 +352,6 @@ class ExplorationService:
                     }
                 else:
                     out[kind] = {"count": 0.0, "mean_seconds": 0.0, "max_seconds": 0.0}
-        batcher = self._batcher.stats()
-        out["batcher"] = {
-            "window_seconds": float(batcher["window_seconds"]),
-            "linger_seconds": float(batcher["linger_seconds"]),
-            "interarrival_ewma_seconds": float(
-                batcher["interarrival_ewma_seconds"]
-            ),
-            "interarrival_samples": float(batcher["interarrival_samples"]),
-        }
         return out
 
     def as_metrics(self) -> dict[str, float]:
@@ -401,8 +381,6 @@ class ExplorationService:
                     fields[name]
                 )
         for kind, aggregate in self.latency_stats().items():
-            if kind == "batcher":
-                continue  # already exported via the batcher subsystem
             for name, value in aggregate.items():
                 out[f'repro_latency_{name}{{kind="{kind}"}}'] = float(value)
         out["repro_service_sessions_active"] = float(len(stats["sessions"]))
@@ -494,14 +472,15 @@ class ExplorationService:
     def preview_cost(
         self, analyst: str, query: Query, accuracy: AccuracySpec
     ) -> dict[str, tuple[float, float]]:
-        """Data-independent cost preview, batched across concurrent duplicates.
+        """Data-independent cost preview, shared by concurrent cold duplicates.
 
         The request is admitted on a pinned snapshot whose version token
         joins the batch key (snapshots are memoised per version, so the
-        token *is* the snapshot's identity): structurally identical previews
-        arriving within the batch window at the same version are answered by
-        one translation (and, cold, one workload-matrix build); see
-        :class:`~repro.service.batching.RequestBatcher`.  Costs no privacy;
+        token *is* the snapshot's identity): structurally identical cold
+        previews in flight at once at the same version are answered by one
+        translation (and one workload-matrix build); see
+        :class:`~repro.service.batching.RequestBatcher`.  A warm preview is
+        answered from the translation memo without the batcher.  Costs no privacy;
         the analyst only needs to be registered.
 
         :param analyst: a registered session identity.
@@ -524,8 +503,7 @@ class ExplorationService:
                 query, accuracy, snapshot.schema, version=stamp
             ):
                 # Unbatchable, or already warm: the memo answers in
-                # microseconds, so paying the coalescing window would only
-                # add latency.
+                # microseconds, so there is no build to share.
                 result = handle.engine.preview_cost(
                     query, accuracy, snapshot=snapshot
                 )

@@ -2,9 +2,10 @@
 
 
 class Planner:
-    def __init__(self):
+    def __init__(self, memo):
         self._plan_cache = {}
         self._name_memo = {}
+        self._plan_memo = memo
 
     def lookup(self, table, name):
         return self._plan_cache.get((table.version_token, name))
@@ -17,3 +18,6 @@ class Planner:
 
     def stamped(self, snapshot, name):
         return self._plan_cache.get((snapshot.domain_stamp, name))
+
+    def tiered(self, table, name, build):
+        return self._plan_memo.lookup((table.version_token, name), build)

@@ -78,7 +78,7 @@ class TestBatcherStatsSnapshot:
         triple regresses against an earlier one."""
         from repro.service.batching import RequestBatcher
 
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         stop = threading.Event()
         errors = []
         gate = threading.Event()
@@ -138,7 +138,6 @@ class TestLatencyStatsSnapshot:
             budget=1.0,
             registry=default_registry(mc_samples=50),
             seed=0,
-            batch_window=0.0,
         )
         stop = threading.Event()
         errors = []

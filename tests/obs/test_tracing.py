@@ -213,7 +213,7 @@ class TestBatcherCoalesceEdges:
         as a flow arrow."""
         from repro.service.batching import RequestBatcher
 
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         n_followers = 3
         leader_entered = threading.Event()
         release = threading.Event()
@@ -286,7 +286,6 @@ class TestServiceSpans:
             budget=10.0,
             registry=default_registry(mc_samples=50),
             seed=0,
-            batch_window=0.0,
         )
         service.register_analyst("a-0")
         # Nested bins make WCQ-SM the cheapest mechanism, so the explore
@@ -341,6 +340,52 @@ class TestServiceSpans:
         assert "mechanism.run" in names
         assert "workload.partition_histogram" not in names
 
+    def test_strategy_spans_open_on_a_search_miss_only(self, tracer):
+        """A cold translate builds and factorizes WCQ-SM's strategy under
+        named spans; a warm one (search memo hit) opens neither."""
+        from repro.core.accuracy import AccuracySpec
+        from repro.mechanisms.registry import default_registry
+        from repro.queries.builders import cumulative_histogram_workload
+        from repro.queries.query import WorkloadCountingQuery
+        from repro.service import ExplorationService
+        from tests.service.util import small_table
+
+        service = ExplorationService(
+            small_table(256),
+            budget=10.0,
+            registry=default_registry(mc_samples=50),
+            seed=0,
+        )
+        service.register_analyst("a-0")
+        query = WorkloadCountingQuery(
+            cumulative_histogram_workload("amount", start=0, stop=10_000, bins=5),
+            name="strategy-q",
+        )
+        accuracy = AccuracySpec(alpha=8.0, beta=1e-3)
+        strategy_spans = {"strategy.build", "strategy.factorize", "wcqsm.search"}
+
+        service.preview_cost("a-0", query, accuracy)
+        (trace,) = tracer.drain()
+        cold = [s for s in trace if s["name"] in strategy_spans]
+        assert sorted(s["name"] for s in cold) == sorted(strategy_spans)
+        # Siblings under one parent, in build -> factorize -> search order.
+        assert len({s["parent_id"] for s in cold}) == 1
+        assert [s["name"] for s in sorted(cold, key=lambda s: s["start"])] == [
+            "strategy.build",
+            "strategy.factorize",
+            "wcqsm.search",
+        ]
+        build = next(s for s in cold if s["name"] == "strategy.build")
+        assert build["attributes"] == {"partitions": 5}
+
+        # The explore runs WCQ-SM, whose search memo answers.
+        service.explore("a-0", query, accuracy)
+        (trace,) = tracer.drain()
+        names = {s["name"] for s in trace}
+        assert "mechanism.run" in names
+        assert not names & strategy_spans
+        assert any(s["attributes"].get("search_tier") == "exact" for s in trace)
+
     def test_cache_tier_labels_match_the_translator_counters(self, tracer):
         """Every translation tier a span reports is one the translator
         counted, and vice versa: label tallies equal counter deltas."""
@@ -357,7 +402,6 @@ class TestServiceSpans:
             budget=10.0,
             registry=default_registry(mc_samples=50),
             seed=0,
-            batch_window=0.0,
         )
         service.register_analyst("a-0")
         query = WorkloadCountingQuery(

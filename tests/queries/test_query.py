@@ -1,5 +1,7 @@
 """Tests for the three query types."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,55 @@ class TestSensitivityOverrides:
             prefix_workload("age", [10, 20, 30]), disjoint=True
         )
         assert query.sensitivity(toy_schema) == 1.0
+
+
+class TestPerQueryMatrixMemo:
+    def test_interleaved_versions_never_tear_the_memo(self):
+        """Two threads sharing one query at two table versions: whatever the
+        interleaving, a later request at v1 gets the matrix built for v1.
+
+        Thread A (at v1) is paused right after its first write to the
+        per-query memo; thread B (at v2) runs to completion; then A resumes.
+        """
+        from tests.queries.test_staleness import (
+            extra_rows,
+            make_schema,
+            make_table,
+            make_workload,
+        )
+
+        paused = threading.Event()
+        resume = threading.Event()
+
+        class PausingQuery(WorkloadCountingQuery):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if (
+                    name.startswith("_matrix")
+                    and threading.current_thread().name == "A"
+                    and not paused.is_set()
+                ):
+                    paused.set()
+                    resume.wait(timeout=10)
+
+        schema = make_schema()
+        table = make_table(schema)
+        v1 = table.version_token
+        table.append_rows(extra_rows())
+        v2 = table.version_token
+        query = PausingQuery(make_workload(), name="torn")
+
+        built = {}
+        a = threading.Thread(
+            target=lambda: built.update(v1=query.workload_matrix(schema, v1)),
+            name="A",
+        )
+        a.start()
+        assert paused.wait(timeout=10)
+        built["v2"] = query.workload_matrix(schema, v2)
+        resume.set()
+        a.join()
+
+        assert built["v1"] is not built["v2"]
+        assert query.workload_matrix(schema, v1) is built["v1"]
+        assert query.workload_matrix(schema, v2) is built["v2"]

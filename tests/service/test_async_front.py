@@ -17,7 +17,6 @@ ACC = AccuracySpec(alpha=200.0, beta=5e-4)
 def make_service(budget=50.0, **kwargs):
     kwargs.setdefault("registry", default_registry(mc_samples=200))
     kwargs.setdefault("seed", 0)
-    kwargs.setdefault("batch_window", 0.0)
     return ExplorationService(small_table(2_000), budget=budget, **kwargs)
 
 

@@ -3,14 +3,12 @@
 import threading
 import time
 
-import pytest
-
 from repro.service.batching import RequestBatcher
 
 
 class TestRequestBatcher:
     def test_concurrent_identical_requests_compute_once(self):
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         n_threads = 8
         calls = []
         started = threading.Event()
@@ -47,7 +45,7 @@ class TestRequestBatcher:
         assert stats["coalesced"] == n_threads - 1
 
     def test_distinct_keys_do_not_coalesce(self):
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         assert batcher.submit("a", lambda: 1) == 1
         assert batcher.submit("b", lambda: 2) == 2
         assert batcher.stats()["computed"] == 2
@@ -55,40 +53,20 @@ class TestRequestBatcher:
 
     def test_sequential_requests_recompute(self):
         """The batcher is not a cache: flights end when the leader finishes."""
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         values = iter([10, 20])
         assert batcher.submit("k", lambda: next(values)) == 10
         assert batcher.submit("k", lambda: next(values)) == 20
-
-    def test_window_lingers_published_result_for_stragglers(self):
-        """Within the window a duplicate of a *completed* fast flight still
-        coalesces instead of recomputing (the window moved from a leader
-        pre-sleep to a post-completion linger)."""
-        batcher = RequestBatcher(window=30.0)
-        values = iter([10, 20])
-        assert batcher.submit("k", lambda: next(values)) == 10
-        assert batcher.submit("k", lambda: next(values)) == 10  # linger hit
-        stats = batcher.stats()
-        assert stats["computed"] == 1
-        assert stats["coalesced"] == 1
-
-    def test_window_expiry_recomputes(self):
-        batcher = RequestBatcher(window=0.02)
-        values = iter([10, 20])
-        assert batcher.submit("k", lambda: next(values)) == 10
-        time.sleep(0.03)
-        assert batcher.submit("k", lambda: next(values)) == 20
-        assert batcher.stats()["computed"] == 2
 
     def test_leader_never_sleeps_before_computing(self):
-        """A lone caller's latency is its compute time, not the window."""
-        batcher = RequestBatcher(window=5.0)
+        """A lone caller's latency is its compute time."""
+        batcher = RequestBatcher()
         start = time.perf_counter()
         assert batcher.submit("k", lambda: "warm") == "warm"
         assert time.perf_counter() - start < 1.0
 
     def test_leader_failure_propagates_to_followers(self):
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         n_followers = 3
         started = threading.Event()
         release = threading.Event()
@@ -122,13 +100,12 @@ class TestRequestBatcher:
         assert stats["failed"] == 1
         # A failed flight is not a computation.
         assert stats["computed"] == 0
-        # The key is retired immediately (no linger for failures): a retry
-        # computes fresh.
+        # The key is retired with the flight: a retry computes fresh.
         assert batcher.submit("key", lambda: "ok") == "ok"
 
     def test_followers_raise_distinct_exception_copies(self):
         """Concurrent re-raises must not fight over one shared traceback."""
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         n_followers = 3
         started = threading.Event()
         release = threading.Event()
@@ -172,12 +149,8 @@ class TestRequestBatcher:
             assert copy_exc.__cause__ is original
             assert str(copy_exc) == "boom"
 
-    def test_negative_window_rejected(self):
-        with pytest.raises(ValueError):
-            RequestBatcher(window=-0.1)
-
     def test_window_zero_still_coalesces_in_flight_requests(self):
-        batcher = RequestBatcher(window=0.0)
+        batcher = RequestBatcher()
         started = threading.Event()
         release = threading.Event()
 
@@ -201,74 +174,8 @@ class TestRequestBatcher:
         assert out == ["slow", "slow"]
 
 
-class TestAdaptiveLinger:
-    """The linger adapts to observed duplicate inter-arrival times (EWMA,
-    clamped to [window/4, 4*window])."""
-
-    def test_defaults_to_the_base_window_before_any_duplicate(self):
-        batcher = RequestBatcher(window=0.1)
-        assert batcher.effective_window() == pytest.approx(0.1)
-        stats = batcher.stats()
-        assert stats["interarrival_samples"] == 0
-        assert stats["linger_seconds"] == pytest.approx(0.1)
-
-    def test_bursty_duplicates_shrink_the_linger_to_the_floor(self):
-        batcher = RequestBatcher(window=0.2)
-        for _ in range(30):  # back-to-back duplicates: near-zero gaps
-            batcher.submit("key", lambda: "value")
-        stats = batcher.stats()
-        assert stats["interarrival_samples"] >= 29
-        assert stats["interarrival_ewma_seconds"] < 0.01
-        assert batcher.effective_window() == pytest.approx(0.2 / 4.0)
-
-    def test_slow_duplicates_are_clamped_to_four_windows(self):
-        batcher = RequestBatcher(window=0.005)
-        batcher.submit("key", lambda: "value")
-        time.sleep(0.08)  # a gap far beyond 4*window
-        batcher.submit("key", lambda: "value")
-        assert batcher.effective_window() == pytest.approx(4 * 0.005)
-
-    def test_zero_window_stays_zero(self):
-        batcher = RequestBatcher(window=0.0)
-        for _ in range(5):
-            batcher.submit("key", lambda: "value")
-        assert batcher.effective_window() == 0.0
-
-    def test_adapted_linger_governs_flight_expiry(self):
-        batcher = RequestBatcher(window=0.4)
-        # Teach the EWMA a ~2ms duplicate gap: linger becomes ~4ms-100ms
-        # (clamped floor), far below the 400ms base window.
-        for _ in range(40):
-            batcher.submit("key", lambda: "burst")
-        linger = batcher.effective_window()
-        assert linger == pytest.approx(0.1)  # the window/4 floor
-        batcher.submit("fresh", lambda: "published")
-        time.sleep(linger + 0.05)  # beyond the adapted linger...
-        calls = []
-        batcher.submit("fresh", lambda: calls.append(1) or "recomputed")
-        assert calls == [1]  # ...so the flight expired and recomputed
-
-    def test_service_latency_stats_expose_the_batcher(self):
-        from repro.mechanisms.registry import default_registry
-        from repro.service import ExplorationService
-
-        from tests.service.util import small_table
-
-        service = ExplorationService(
-            small_table(200),
-            budget=1.0,
-            registry=default_registry(mc_samples=100),
-            seed=0,
-            batch_window=0.01,
-        )
-        stats = service.latency_stats()
-        assert stats["batcher"]["window_seconds"] == pytest.approx(0.01)
-        assert stats["batcher"]["linger_seconds"] == pytest.approx(0.01)
-        assert stats["batcher"]["interarrival_samples"] == 0.0
-
-
 class TestServiceCoalescing:
-    def test_identical_cold_previews_build_the_matrix_once(self):
+    def test_identical_cold_previews_build_the_matrix_once(self, monkeypatch):
         """N analysts asking one structurally identical cold preview at once
         share one flight: one matrix build, one answer for all."""
         from repro.bench.synthetic import build_bench_table, build_bench_workload
@@ -280,21 +187,48 @@ class TestServiceCoalescing:
             clear_matrix_cache,
             matrix_cache_stats,
         )
-        from repro.service import ExplorationService
+        from repro.service import ExplorationService, batching
 
         n_threads = 8
         table = build_bench_table(2_000, seed=7)
         workload = build_bench_workload(16, n_amount_cuts=6)
         accuracy = AccuracySpec(alpha=0.05 * len(table), beta=5e-4)
         clear_matrix_cache()
-        # A generous window: a thread that arrives after the leader finished
-        # still joins the lingering flight instead of recomputing.
+
+        # The leader's matrix build is held until every other request has
+        # attached to its flight (is waiting on the flight's event), so the
+        # flight is still in progress when each of them arrives.
+        building = threading.Event()
+        release = threading.Event()
+        waiting = []
+        waiting_lock = threading.Lock()
+        analyze = Workload.analyze
+
+        def held_analyze(self, *args, **kwargs):
+            building.set()
+            release.wait(timeout=30)
+            return analyze(self, *args, **kwargs)
+
+        class CountingEvent(threading.Event):
+            def wait(self, timeout=None):
+                with waiting_lock:
+                    waiting.append(threading.get_ident())
+                return super().wait(timeout)
+
+        class CountingFlight(batching._Flight):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                self.done = CountingEvent()
+
+        monkeypatch.setattr(Workload, "analyze", held_analyze)
+        monkeypatch.setattr(batching, "_Flight", CountingFlight)
         service = ExplorationService(
             table,
             budget=10.0,
             registry=default_registry(mc_samples=200),
             seed=5,
-            batch_window=2.0,
         )
         for i in range(n_threads):
             service.register_analyst(f"a-{i}")
@@ -314,9 +248,15 @@ class TestServiceCoalescing:
         threads = [threading.Thread(target=ask, args=(i,)) for i in range(n_threads)]
         for t in threads:
             t.start()
+        assert building.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while len(waiting) < n_threads - 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        release.set()
         for t in threads:
             t.join()
 
+        assert len(waiting) == n_threads - 1
         assert previews[0] is not None
         assert all(p == previews[0] for p in previews)
         assert matrix_cache_stats()["built"] == 1

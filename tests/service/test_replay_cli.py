@@ -54,7 +54,7 @@ class TestReplay:
     def test_replay_merges_and_validates(self):
         table = small_table(2_000)
         service = ExplorationService(
-            {"bench": table}, budget=5.0, seed=0, batch_window=0.0
+            {"bench": table}, budget=5.0, seed=0
         )
         text = (
             "BIN D ON COUNT(*) WHERE W = {"

@@ -69,7 +69,6 @@ def run_budget_stress(table, policy=BudgetPolicy.FIRST_COME, **service_kwargs):
         policy=policy,
         registry=default_registry(mc_samples=200),
         seed=1,
-        batch_window=0.0,
         **service_kwargs,
     )
     for i in range(N_THREADS):
@@ -143,7 +142,6 @@ class TestConcurrentBudgetSafety:
             budget=50.0,
             registry=default_registry(mc_samples=200),
             seed=4,
-            batch_window=0.0,
         )
         service.register_analyst("solo")
         query = WorkloadCountingQuery(
@@ -167,7 +165,6 @@ class TestConcurrentBudgetSafety:
             budget=2.0,
             registry=default_registry(mc_samples=200),
             seed=2,
-            batch_window=0.0,
         )
         handles = [service.register_analyst(f"t{i}") for i in range(N_THREADS)]
         query = WorkloadCountingQuery(
